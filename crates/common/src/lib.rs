@@ -20,16 +20,33 @@
 //! * [`union_find`] — a disjoint-set forest ([`UnionFind`]), used by the
 //!   session layer's shard planner to partition relations into
 //!   independent write shards by transitive query-footprint overlap.
+//! * [`wire`] — the binary codec under every wire and on-disk format:
+//!   little-endian writers, the bounded decoder [`wire::Cur`],
+//!   [`wire::WireError`] and length-prefixed framing.
+//! * [`net`] — the TCP server runtime ([`net::TcpServer`]) both the
+//!   serve layer and the replication leader run on, with the socket
+//!   policy (`TCP_NODELAY`) every connection shares.
 
 #![warn(missing_docs)]
 pub mod bitset;
 pub mod epoch;
 pub mod hash;
+pub mod net;
 pub mod slab;
 pub mod union_find;
+pub mod wire;
 
 pub use bitset::{BitMatrix, BitSet};
 pub use epoch::EpochCell;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use slab::{Slab, SlabId};
 pub use union_find::UnionFind;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the guard even when a panicking holder poisoned
+/// it: the workspace's mutexes guard state that stays usable after a
+/// panic, and one failed thread must not take a server down with it.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

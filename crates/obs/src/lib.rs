@@ -37,14 +37,11 @@
 //! assert!(reg.render().contains("wal_commits_total 1"));
 //! ```
 
+use cqu_common::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A monotone event counter. All operations are single relaxed atomic
 /// ops — safe on any hot path.

@@ -25,18 +25,15 @@
 //! path on demand — the fault-injection hook the convergence tests use.
 
 use crate::protocol::{read_frame, DenyReason, Frame, REPL_VERSION};
+use cqu_common::{lock, net};
 use cqu_obs::{Counter, Gauge, Registry};
 use cqu_wal::Rec;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The state-machine half of a follower: everything the network loop
 /// needs from the replica's session layer.
@@ -397,7 +394,7 @@ fn follow_loop(
                 continue;
             }
         };
-        let _ = stream.set_nodelay(true);
+        let _ = net::configure(&stream);
         *lock(&shared.conn) = stream.try_clone().ok();
         let end = run_session(&stream, apply.as_mut(), &config, shared);
         *lock(&shared.conn) = None;

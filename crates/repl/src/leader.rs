@@ -40,25 +40,19 @@
 
 use crate::protocol::{encode_records_frame, read_frame, DenyReason, Frame, REPL_VERSION};
 use crate::queue::{ShipPop, ShipQueue};
+use cqu_common::lock;
+use cqu_common::net::{ServerOptions, TcpServer, TICK};
 use cqu_obs::{Counter, Gauge, Registry};
 use cqu_wal::Rec;
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long blocking loops wait before re-checking the shutdown flag.
-const TICK: Duration = Duration::from_millis(50);
 
 /// Records per catch-up `Records` frame (bounds the frame size without
 /// re-measuring byte-exact budgets; update records are small).
 const CATCHUP_RECORDS_PER_FRAME: usize = 1024;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Everything a follower needs to start, captured atomically under the
 /// leader's commit lock by [`ReplSource::attach`].
@@ -243,8 +237,6 @@ impl LeaderMetrics {
 struct Shared {
     source: Arc<dyn ReplSource>,
     config: LeaderConfig,
-    shutdown: AtomicBool,
-    threads: Mutex<Vec<JoinHandle<()>>>,
     stats: LeaderMetrics,
     progress: Mutex<Vec<ProgressEntry>>,
 }
@@ -255,8 +247,7 @@ struct Shared {
 /// follower connection is torn down, and all threads are joined.
 pub struct LeaderServer {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    net: TcpServer,
 }
 
 impl LeaderServer {
@@ -268,33 +259,27 @@ impl LeaderServer {
         source: Arc<dyn ReplSource>,
         config: LeaderConfig,
     ) -> io::Result<LeaderServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stats = LeaderMetrics::new(config.registry.clone());
+        let opts = ServerOptions {
+            name: "cqu-repl",
+            handshake_timeout: config.handshake_timeout,
+            max_conns: None,
+        };
         let shared = Arc::new(Shared {
             source,
+            stats: LeaderMetrics::new(config.registry.clone()),
             config,
-            shutdown: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
-            stats,
             progress: Mutex::new(Vec::new()),
         });
-        let acceptor = {
+        let net = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cqu-repl-accept".into())
-                .spawn(move || accept_loop(listener, shared))?
+            TcpServer::bind(addr, opts, move |stream| follower_conn(&shared, stream))?
         };
-        Ok(LeaderServer {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-        })
+        Ok(LeaderServer { shared, net })
     }
 
     /// The bound address (with the OS-assigned port when bound to 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.net.local_addr()
     }
 
     /// A point-in-time copy of the leader counters — a typed view over
@@ -338,63 +323,16 @@ impl LeaderServer {
     /// Stops accepting, tears down every follower connection, and joins
     /// all server threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the acceptor with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // Connection threads observe the flag within one tick.
-        let threads: Vec<_> = lock(&self.shared.threads).drain(..).collect();
-        for h in threads {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for LeaderServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.net.shutdown();
     }
 }
 
 impl std::fmt::Debug for LeaderServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaderServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        // Reap finished connection threads so a long-lived leader does
-        // not accumulate a handle pair per follower ever served.
-        {
-            let mut threads = lock(&shared.threads);
-            let mut i = 0;
-            while i < threads.len() {
-                if threads[i].is_finished() {
-                    let _ = threads.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        let handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cqu-repl-ship".into())
-                .spawn(move || follower_conn(&shared, stream))
-        };
-        lock(&shared.threads).extend(handle);
     }
 }
 
@@ -457,12 +395,14 @@ impl Drop for AttachGuard<'_> {
     }
 }
 
+/// Refuses a handshake; the connection closes after this frame.
+fn deny(mut stream: &TcpStream, reason: DenyReason, msg: String) {
+    let _ = stream.write_all(&Frame::Deny { reason, msg }.encode());
+}
+
+/// One follower connection, handshake (under the runtime's deadline)
+/// through disconnect.
 fn follower_conn(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let timeout = Some(shared.config.handshake_timeout).filter(|t| !t.is_zero());
-    if stream.set_read_timeout(timeout).is_err() {
-        return;
-    }
     let mut reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -477,23 +417,21 @@ fn follower_conn(shared: &Arc<Shared>, stream: TcpStream) {
             cursor,
         }) if version == REPL_VERSION => (epoch, cursor),
         Ok(Frame::Hello { version, .. }) => {
-            let deny = Frame::Deny {
-                reason: DenyReason::Version,
-                msg: format!("replication protocol version {version} not supported"),
-            };
-            let _ = w.write_all(&deny.encode());
-            let _ = w.flush();
+            deny(
+                &stream,
+                DenyReason::Version,
+                format!("replication protocol version {version} not supported"),
+            );
             return;
         }
         _ => return,
     };
     if shared.stats.followers.get() >= shared.config.max_followers as u64 {
-        let deny = Frame::Deny {
-            reason: DenyReason::AtCapacity,
-            msg: "leader at follower capacity".into(),
-        };
-        let _ = w.write_all(&deny.encode());
-        let _ = w.flush();
+        deny(
+            &stream,
+            DenyReason::AtCapacity,
+            "leader at follower capacity".into(),
+        );
         return;
     }
 
@@ -502,12 +440,7 @@ fn follower_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let attach = match shared.source.attach(Arc::clone(&queue)) {
         Ok(a) => a,
         Err(msg) => {
-            let deny = Frame::Deny {
-                reason: DenyReason::Other,
-                msg,
-            };
-            let _ = w.write_all(&deny.encode());
-            let _ = w.flush();
+            deny(&stream, DenyReason::Other, msg);
             return;
         }
     };
@@ -529,15 +462,14 @@ fn follower_conn(shared: &Arc<Shared>, stream: TcpStream) {
                 attach.epoch
             ),
         );
-        let deny = Frame::Deny {
-            reason: DenyReason::StaleEpoch,
-            msg: format!(
+        deny(
+            &stream,
+            DenyReason::StaleEpoch,
+            format!(
                 "peer epoch {hello_epoch} is ahead of leader epoch {} — stale leader",
                 attach.epoch
             ),
-        };
-        let _ = w.write_all(&deny.encode());
-        let _ = w.flush();
+        );
         return;
     }
 
@@ -665,7 +597,8 @@ fn follower_conn(shared: &Arc<Shared>, stream: TcpStream) {
     // Pump: drain the live queue; heartbeat when idle.
     let mut last_beat = Instant::now();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) || conn_gone.load(Ordering::SeqCst) {
+        // Shutdown cuts the socket, which ends the ack reader too.
+        if conn_gone.load(Ordering::SeqCst) {
             break;
         }
         match queue.pop(TICK) {

@@ -3,9 +3,11 @@
 //! A leader process tails its write-ahead log and streams committed
 //! records to any number of follower processes over a length-prefixed
 //! TCP protocol; followers rebuild the session state and serve reads at
-//! an explicit applied-seq watermark. Like `cqu-serve`, the runtime is
-//! hand-rolled on `std::net` — no async framework, no crates.io
-//! dependencies — with blocking threads and byte-budgeted queues.
+//! an explicit applied-seq watermark. Like `cqu-serve`, the leader runs
+//! on the `std::net` thread-per-connection runtime in `cqu_common::net`
+//! and frames with `cqu_common::wire` — no async framework, no
+//! crates.io dependencies — with blocking threads and byte-budgeted
+//! queues.
 //!
 //! The crate is engine-agnostic: it speaks `cqu_wal::Rec` and leaves
 //! the session semantics to two traits the `cq-updates` glue

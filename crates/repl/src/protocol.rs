@@ -1,8 +1,9 @@
 //! The replication wire protocol: length-prefixed binary frames.
 //!
-//! Same framing discipline as `cqu-serve`: every wire message is a
-//! `u32` little-endian body length followed by the body; the body is a
-//! one-byte tag followed by fixed little-endian fields. The payload of
+//! Same framing as `cqu-serve`, on the shared `cqu_common::wire` codec:
+//! every wire message is a `u32` little-endian body length followed by
+//! the body; the body is a one-byte tag followed by fixed little-endian
+//! fields. The payload of
 //! a [`Frame::Records`] message is a run of WAL record frames
 //! (`u32 len | u32 crc32 | payload`, exactly the segment encoding) —
 //! the leader ships the bytes it logged, and both sides validate the
@@ -22,17 +23,18 @@
 //! tag are [`WireError`]s, and the body length is capped
 //! ([`MAX_FRAME_LEN`]) so a corrupt prefix cannot ask for gigabytes.
 
+use cqu_common::wire::{
+    chunk_flags, framed, put_bytes32, put_str16, put_u32, put_u64, read_body, Cur,
+};
 use cqu_wal::{crc32, Rec, MAX_RECORD_LEN};
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
+
+pub use cqu_common::wire::{WireError, MAX_FRAME_LEN};
 
 /// Replication protocol version spoken by this build. The leader denies
 /// a `Hello` with a different version. Version 2 added the typed
 /// [`DenyReason`] byte to `Deny` (and with it the stale-epoch fence).
 pub const REPL_VERSION: u32 = 2;
-
-/// Upper bound on a frame body; larger length prefixes are rejected
-/// before any allocation.
-pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 mod tag {
     pub const HELLO: u8 = 0x01;
@@ -167,65 +169,7 @@ pub enum Frame {
     },
 }
 
-/// Anything that can go wrong while encoding, decoding, or transporting
-/// frames.
-#[derive(Debug)]
-pub enum WireError {
-    /// The underlying socket failed (includes clean EOF between frames
-    /// as `UnexpectedEof`).
-    Io(io::Error),
-    /// The bytes did not decode as a frame (or a shipped record failed
-    /// its CRC).
-    Malformed(&'static str),
-    /// A length prefix exceeded [`MAX_FRAME_LEN`].
-    Oversized(usize),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Io(e) => write!(f, "socket error: {e}"),
-            WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
-            WireError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds the cap"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> WireError {
-        WireError::Io(e)
-    }
-}
-
 // ---- encoding ------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    // Wire strings carry a `u16` length; truncate long inputs on a char
-    // boundary so the length prefix can never wrap and desynchronize
-    // the stream.
-    let mut len = s.len().min(u16::MAX as usize);
-    while !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&s.as_bytes()[..len]);
-}
-
-/// The chunk flags byte: bit 0 = `last`, bit 1 = `first` (same layout
-/// as `cqu-serve`'s `SnapshotChunk`).
-fn chunk_flags(first: bool, last: bool) -> u8 {
-    (last as u8) | ((first as u8) << 1)
-}
 
 impl Frame {
     /// Appends the frame *body* (tag + fields, no length prefix) to `buf`.
@@ -264,8 +208,7 @@ impl Frame {
                 buf.push(tag::CKPT_CHUNK);
                 put_u64(buf, *seq);
                 buf.push(chunk_flags(*first, *last));
-                put_u32(buf, bytes.len() as u32);
-                buf.extend_from_slice(bytes);
+                put_bytes32(buf, bytes);
             }
             Frame::Records { bytes } => {
                 buf.push(tag::RECORDS);
@@ -282,7 +225,7 @@ impl Frame {
             Frame::Deny { reason, msg } => {
                 buf.push(tag::DENY);
                 buf.push(reason.to_u8());
-                put_str(buf, msg);
+                put_str16(buf, msg);
             }
         }
     }
@@ -290,11 +233,7 @@ impl Frame {
     /// Encodes the frame as a complete wire message: `u32` length prefix
     /// followed by the body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; 4];
-        self.encode_body(&mut buf);
-        let len = (buf.len() - 4) as u32;
-        buf[..4].copy_from_slice(&len.to_le_bytes());
-        buf
+        framed(|buf| self.encode_body(buf))
     }
 }
 
@@ -302,14 +241,12 @@ impl Frame {
 /// the commit-hook fast path: the leader serializes each commit once
 /// into shared bytes, however many followers are attached.
 pub fn encode_records_frame(recs: &[Rec]) -> Vec<u8> {
-    let mut buf = vec![0u8; 4];
-    buf.push(tag::RECORDS);
-    for rec in recs {
-        rec.frame(&mut buf);
-    }
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    buf
+    framed(|buf| {
+        buf.push(tag::RECORDS);
+        for rec in recs {
+            rec.frame(buf);
+        }
+    })
 }
 
 /// Decodes the payload of a [`Frame::Records`] message: a run of
@@ -317,83 +254,31 @@ pub fn encode_records_frame(recs: &[Rec]) -> Vec<u8> {
 /// mismatch, or malformed record payload fails the whole batch (the
 /// transport delivered it intact, so damage means a bug, not a torn
 /// tail to truncate).
-pub fn decode_records(mut bytes: &[u8]) -> Result<Vec<Rec>, WireError> {
+pub fn decode_records(bytes: &[u8]) -> Result<Vec<Rec>, WireError> {
+    let mut cur = Cur::new(bytes);
     let mut recs = Vec::new();
-    while !bytes.is_empty() {
-        if bytes.len() < 8 {
-            return Err(WireError::Malformed("truncated record frame header"));
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    while cur.remaining() > 0 {
+        let len = cur.u32()? as usize;
+        let crc = cur.u32()?;
         if len > MAX_RECORD_LEN {
             return Err(WireError::Malformed("record length exceeds cap"));
         }
-        if bytes.len() - 8 < len {
-            return Err(WireError::Malformed("truncated record payload"));
-        }
-        let payload = &bytes[8..8 + len];
+        let payload = cur.take(len)?;
         if crc32(payload) != crc {
             return Err(WireError::Malformed("record crc mismatch"));
         }
-        recs.push(Rec::decode(payload).map_err(WireError::Malformed)?);
-        bytes = &bytes[8 + len..];
+        recs.push(Rec::decode(payload)?);
     }
     Ok(recs)
 }
 
 // ---- decoding ------------------------------------------------------------
 
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Malformed("truncated field"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes"))
-        }
-    }
-}
-
 impl Frame {
     /// Decodes a frame body (tag + fields, no length prefix). Strict:
     /// trailing bytes are an error.
     pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
-        let mut cur = Cur { buf: body, pos: 0 };
+        let mut cur = Cur::new(body);
         let frame = match cur.u8()? {
             tag::HELLO => Frame::Hello {
                 version: cur.u32()?,
@@ -409,21 +294,17 @@ impl Frame {
             },
             tag::CKPT_CHUNK => {
                 let seq = cur.u64()?;
-                let flags = cur.u8()?;
-                if flags > 3 {
-                    return Err(WireError::Malformed("bad chunk flags"));
-                }
+                let (first, last) = cur.chunk_flags()?;
                 let len = cur.u32()? as usize;
-                let bytes = cur.take(len)?.to_vec();
                 Frame::CkptChunk {
                     seq,
-                    first: flags & 2 != 0,
-                    last: flags & 1 != 0,
-                    bytes,
+                    first,
+                    last,
+                    bytes: cur.take(len)?.to_vec(),
                 }
             }
             tag::RECORDS => Frame::Records {
-                bytes: cur.take(body.len() - 1)?.to_vec(),
+                bytes: cur.rest().to_vec(),
             },
             tag::HEARTBEAT => Frame::Heartbeat {
                 head_seq: cur.u64()?,
@@ -433,7 +314,7 @@ impl Frame {
             },
             tag::DENY => Frame::Deny {
                 reason: DenyReason::from_u8(cur.u8()?)?,
-                msg: cur.str()?,
+                msg: cur.str16()?,
             },
             _ => return Err(WireError::Malformed("unknown tag")),
         };
@@ -452,15 +333,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
 /// configuration; a clean disconnect between frames surfaces as
 /// `WireError::Io(UnexpectedEof)`.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(len));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Frame::decode_body(&body)
+    Frame::decode_body(&read_body(r)?)
 }
 
 #[cfg(test)]

@@ -9,13 +9,10 @@
 //! and the follower reconnects and resumes from its durable cursor.
 //! Slow replicas cost themselves a resync, never the leader a commit.
 
+use cqu_common::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 struct QueueState {
     items: std::collections::VecDeque<Arc<[u8]>>,
@@ -123,7 +120,7 @@ impl ShipQueue {
             let (g, wait) = self
                 .cond
                 .wait_timeout(st, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             st = g;
             if wait.timed_out() {
                 return ShipPop::Empty;

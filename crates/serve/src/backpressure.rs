@@ -10,6 +10,7 @@
 //! of unbounded memory growth — the same contract the wire protocol's
 //! coalescing lag policy gives network subscribers.
 
+use cqu_common::lock;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -57,15 +58,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QState<T>> {
-        // A panic mid-push/pop cannot leave the queue logically torn:
-        // every mutation is a single VecDeque operation.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
     /// Capacity in pending items.
     pub fn capacity(&self) -> usize {
         self.cap
@@ -73,23 +65,23 @@ impl<T> BoundedQueue<T> {
 
     /// Number of items currently pending.
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        lock(&self.state).items.len()
     }
 
     /// True when no items are pending.
     pub fn is_empty(&self) -> bool {
-        self.lock().items.is_empty()
+        lock(&self.state).items.is_empty()
     }
 
     /// How many times producers had to coalesce because the consumer
     /// fell behind. A cheap lag gauge for tests and observability.
     pub fn coalesced(&self) -> u64 {
-        self.lock().coalesced
+        lock(&self.state).coalesced
     }
 
     /// True once [`close`](BoundedQueue::close) has been called.
     pub fn is_closed(&self) -> bool {
-        self.lock().closed
+        lock(&self.state).closed
     }
 
     /// Enqueues `item` without ever blocking. If the queue is full, all
@@ -97,7 +89,7 @@ impl<T> BoundedQueue<T> {
     /// new item last) and replaced by its single result. Returns `false`
     /// if the queue is closed (the item is dropped).
     pub fn push_coalescing(&self, item: T, net: impl FnOnce(Vec<T>) -> T) -> bool {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         if st.closed {
             return false;
         }
@@ -119,7 +111,7 @@ impl<T> BoundedQueue<T> {
     /// overflow. For streams where later items subsume earlier ones
     /// entirely; the session layer uses coalescing instead.
     pub fn push_lossy(&self, item: T) -> bool {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         if st.closed {
             return false;
         }
@@ -135,7 +127,7 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues without blocking.
     pub fn try_recv(&self) -> TryRecv<T> {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         match st.items.pop_front() {
             Some(item) => TryRecv::Item(item),
             None if st.closed => TryRecv::Closed,
@@ -147,7 +139,7 @@ impl<T> BoundedQueue<T> {
     /// wait timed out with the queue still open.
     pub fn recv_timeout(&self, timeout: Duration) -> TryRecv<T> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         loop {
             if let Some(item) = st.items.pop_front() {
                 return TryRecv::Item(item);
@@ -169,13 +161,13 @@ impl<T> BoundedQueue<T> {
 
     /// Drains every pending item without blocking.
     pub fn drain(&self) -> Vec<T> {
-        self.lock().items.drain(..).collect()
+        lock(&self.state).items.drain(..).collect()
     }
 
     /// Closes the queue: producers start failing, and consumers see
     /// `Closed` once the backlog drains. Idempotent.
     pub fn close(&self) {
-        let mut st = self.lock();
+        let mut st = lock(&self.state);
         st.closed = true;
         drop(st);
         self.cond.notify_all();

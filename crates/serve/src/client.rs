@@ -8,7 +8,8 @@
 //! replica and tracks the resume cursor — the client half of the
 //! resumable-cursor contract.
 
-use crate::protocol::{Frame, Row, SubscribeMode, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
+use crate::protocol::{Frame, Row, SubscribeMode, WireError, PROTOCOL_VERSION};
+use cqu_common::{net, wire};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -93,7 +94,7 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 impl Client {
     /// Connects and performs the `Hello` handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = net::connect(addr)?;
         let mut client = Client {
             stream,
             server_seq: 0,
@@ -130,18 +131,12 @@ impl Client {
     /// `None` leaves any half-received frame buffered for the next poll.
     fn poll_frame(&mut self, deadline: Instant) -> Result<Option<Frame>, ClientError> {
         loop {
-            if self.rbuf.len() >= 4 {
-                let len = u32::from_le_bytes(self.rbuf[..4].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(WireError::Oversized(len).into());
-                }
-                if self.rbuf.len() >= 4 + len {
-                    let frame = Frame::decode_body(&self.rbuf[4..4 + len])?;
-                    self.rbuf.drain(..4 + len);
-                    match self.intercept(frame)? {
-                        Some(frame) => return Ok(Some(frame)),
-                        None => continue, // swallowed by auto-resubscribe
-                    }
+            if let Some(body) = wire::split_body(&self.rbuf)? {
+                let frame = Frame::decode_body(body)?;
+                self.rbuf.drain(..4 + body.len());
+                match self.intercept(frame)? {
+                    Some(frame) => return Ok(Some(frame)),
+                    None => continue, // swallowed by auto-resubscribe
                 }
             }
             let now = Instant::now();

@@ -14,19 +14,20 @@
 //!   gets the *netted* delta `N → now` replayed from the ring, and only
 //!   falls back to a full snapshot resync when the ring has evicted `N`.
 //! * [`backpressure::BoundedQueue`] — the bounded, never-blocking,
-//!   coalesce-on-overflow queue both in-process bounded feeds
-//!   (`QueryHandle::subscribe_bounded`) and per-connection outbound
-//!   queues are built from. A slow consumer nets its own pending deltas
-//!   (or is cut loose with a `Lagged` frame); the commit path never
-//!   blocks on anyone's socket.
+//!   coalesce-on-overflow queue behind in-process bounded feeds
+//!   (`QueryHandle::subscribe_bounded`). A slow consumer nets its own
+//!   pending deltas; the commit path never blocks on it.
 //! * [`protocol`] — the wire format: `Hello` / `Register` / `Query` /
 //!   `Subscribe{from_seq}` / `Snapshot` / `Delta` / `Lagged` / `Ack` /
-//!   `Error` frames, length-prefixed, fixed little-endian encoding.
-//! * [`server::Server`] — the runtime: thread-per-connection acceptor,
-//!   one fan-out pump per subscribed query (each commit is serialized
-//!   **once** into shared bytes, however many subscribers receive it),
-//!   per-connection bounded outbound queues with a configurable
-//!   [`server::LagPolicy`].
+//!   `Error` frames, length-prefixed, fixed little-endian encoding on
+//!   the shared `cqu_common::wire` codec.
+//! * [`server::Server`] — one fan-out pump per subscribed query (each
+//!   commit is serialized **once** into shared bytes, however many
+//!   subscribers receive it) and a per-connection outbound queue of its
+//!   own that coalesces or detaches a lagging subscription per the
+//!   configured [`server::LagPolicy`] — a slow socket never blocks the
+//!   commit path. Connections are accepted, capped and shut down by the
+//!   shared `cqu_common::net::TcpServer` runtime.
 //! * [`client::Client`] — a small blocking client (plus
 //!   [`client::Mirror`], a cursor-tracking result replica) used by the
 //!   tests, benches, and examples — and a reference for real clients.

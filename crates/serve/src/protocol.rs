@@ -28,7 +28,12 @@
 //! tag are [`WireError`]s, and the body length is capped
 //! ([`MAX_FRAME_LEN`]) so a corrupt prefix cannot ask for gigabytes.
 
-use std::io::{self, Read, Write};
+use cqu_common::wire::{
+    chunk_flags, framed, put_bytes32, put_str16, put_u16, put_u32, put_u64, read_body, Cur,
+};
+use std::io::{Read, Write};
+
+pub use cqu_common::wire::{WireError, MAX_FRAME_LEN};
 
 /// Protocol version spoken by this build. The server rejects a `Hello`
 /// with a different major version.
@@ -42,10 +47,6 @@ use std::io::{self, Read, Write};
 /// v4 added `StatsRequest`/`StatsReply` (metrics scrape over the wire —
 /// a v3 client would choke on the reply tag).
 pub const PROTOCOL_VERSION: u32 = 4;
-
-/// Upper bound on a frame body; larger length prefixes are rejected
-/// before any allocation.
-pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 /// One result tuple on the wire. Identical to the engine's `Tuple`
 /// (`Vec<u64>`), so sources convert by clone, never by re-encoding.
@@ -242,63 +243,7 @@ mod tag {
     pub const STATS_REPLY: u8 = 0x0E;
 }
 
-/// Anything that can go wrong while encoding, decoding, or transporting
-/// frames.
-#[derive(Debug)]
-pub enum WireError {
-    /// The underlying socket failed (includes clean EOF between frames
-    /// as `UnexpectedEof`).
-    Io(io::Error),
-    /// The bytes did not decode as a frame.
-    Malformed(&'static str),
-    /// A length prefix exceeded [`MAX_FRAME_LEN`].
-    Oversized(usize),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Io(e) => write!(f, "socket error: {e}"),
-            WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
-            WireError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds the cap"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> WireError {
-        WireError::Io(e)
-    }
-}
-
 // ---- encoding ------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    // Wire strings carry a `u16` length. Longer inputs are reachable
-    // remotely (error messages embed client-supplied names), so truncate
-    // on a char boundary — a wrapped length prefix would desynchronize
-    // the stream for every frame after this one.
-    let mut len = s.len().min(u16::MAX as usize);
-    while !s.is_char_boundary(len) {
-        len -= 1;
-    }
-    put_u16(buf, len as u16);
-    buf.extend_from_slice(&s.as_bytes()[..len]);
-}
 
 fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
     put_u32(buf, rows.len() as u32);
@@ -312,6 +257,29 @@ fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
     }
 }
 
+fn put_snapshot(buf: &mut Vec<u8>, name: &str, seq: u64, rows: &[Row]) {
+    buf.push(tag::SNAPSHOT);
+    put_str16(buf, name);
+    put_u64(buf, seq);
+    put_rows(buf, rows);
+}
+
+fn put_chunk(buf: &mut Vec<u8>, name: &str, seq: u64, first: bool, last: bool, rows: &[Row]) {
+    buf.push(tag::SNAPSHOT_CHUNK);
+    put_str16(buf, name);
+    put_u64(buf, seq);
+    buf.push(chunk_flags(first, last));
+    put_rows(buf, rows);
+}
+
+fn put_delta(buf: &mut Vec<u8>, name: &str, seq: u64, added: &[Row], removed: &[Row]) {
+    buf.push(tag::DELTA);
+    put_str16(buf, name);
+    put_u64(buf, seq);
+    put_rows(buf, added);
+    put_rows(buf, removed);
+}
+
 impl Frame {
     /// Appends the frame *body* (tag + fields, no length prefix) to `buf`.
     pub fn encode_body(&self, buf: &mut Vec<u8>) {
@@ -323,16 +291,16 @@ impl Frame {
             }
             Frame::Register { name, src } => {
                 buf.push(tag::REGISTER);
-                put_str(buf, name);
-                put_str(buf, src);
+                put_str16(buf, name);
+                put_str16(buf, src);
             }
             Frame::Query { name } => {
                 buf.push(tag::QUERY);
-                put_str(buf, name);
+                put_str16(buf, name);
             }
             Frame::Subscribe { name, from_seq } => {
                 buf.push(tag::SUBSCRIBE);
-                put_str(buf, name);
+                put_str16(buf, name);
                 match from_seq {
                     Some(seq) => {
                         buf.push(1);
@@ -343,67 +311,47 @@ impl Frame {
             }
             Frame::Unsubscribe { name } => {
                 buf.push(tag::UNSUBSCRIBE);
-                put_str(buf, name);
+                put_str16(buf, name);
             }
             Frame::Ack { name, seq } => {
                 buf.push(tag::ACK);
-                put_str(buf, name);
+                put_str16(buf, name);
                 put_u64(buf, *seq);
             }
             Frame::Subscribed { name, mode, seq } => {
                 buf.push(tag::SUBSCRIBED);
-                put_str(buf, name);
+                put_str16(buf, name);
                 buf.push(mode.to_byte());
                 put_u64(buf, *seq);
             }
-            Frame::Snapshot { name, seq, rows } => {
-                buf.push(tag::SNAPSHOT);
-                put_str(buf, name);
-                put_u64(buf, *seq);
-                put_rows(buf, rows);
-            }
+            Frame::Snapshot { name, seq, rows } => put_snapshot(buf, name, *seq, rows),
             Frame::SnapshotChunk {
                 name,
                 seq,
                 first,
                 last,
                 rows,
-            } => {
-                buf.push(tag::SNAPSHOT_CHUNK);
-                put_str(buf, name);
-                put_u64(buf, *seq);
-                buf.push(chunk_flags(*first, *last));
-                put_rows(buf, rows);
-            }
+            } => put_chunk(buf, name, *seq, *first, *last, rows),
             Frame::Delta {
                 name,
                 seq,
                 added,
                 removed,
-            } => {
-                buf.push(tag::DELTA);
-                put_str(buf, name);
-                put_u64(buf, *seq);
-                put_rows(buf, added);
-                put_rows(buf, removed);
-            }
+            } => put_delta(buf, name, *seq, added, removed),
             Frame::Lagged { name, resync_at } => {
                 buf.push(tag::LAGGED);
-                put_str(buf, name);
+                put_str16(buf, name);
                 put_u64(buf, *resync_at);
             }
             Frame::Error { code, msg } => {
                 buf.push(tag::ERROR);
                 buf.push(*code);
-                put_str(buf, msg);
+                put_str16(buf, msg);
             }
-            Frame::StatsRequest => {
-                buf.push(tag::STATS_REQUEST);
-            }
+            Frame::StatsRequest => buf.push(tag::STATS_REQUEST),
             Frame::StatsReply { text } => {
                 buf.push(tag::STATS_REPLY);
-                put_u32(buf, text.len() as u32);
-                buf.extend_from_slice(text.as_bytes());
+                put_bytes32(buf, text.as_bytes());
             }
         }
     }
@@ -411,11 +359,7 @@ impl Frame {
     /// Encodes the frame as a complete wire message: `u32` length prefix
     /// followed by the body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; 4];
-        self.encode_body(&mut buf);
-        let len = (buf.len() - 4) as u32;
-        buf[..4].copy_from_slice(&len.to_le_bytes());
-        buf
+        framed(|buf| self.encode_body(buf))
     }
 }
 
@@ -423,28 +367,13 @@ impl Frame {
 /// the fan-out fast path: the pump encodes each commit once into shared
 /// bytes without first cloning rows into a [`Frame`].
 pub fn encode_delta_frame(name: &str, seq: u64, added: &[Row], removed: &[Row]) -> Vec<u8> {
-    let mut buf = vec![0u8; 4];
-    buf.push(tag::DELTA);
-    put_str(&mut buf, name);
-    put_u64(&mut buf, seq);
-    put_rows(&mut buf, added);
-    put_rows(&mut buf, removed);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    buf
+    framed(|buf| put_delta(buf, name, seq, added, removed))
 }
 
 /// Encodes a complete `Snapshot` wire message directly from borrowed
 /// rows (see [`encode_delta_frame`]).
 pub fn encode_snapshot_frame(name: &str, seq: u64, rows: &[Row]) -> Vec<u8> {
-    let mut buf = vec![0u8; 4];
-    buf.push(tag::SNAPSHOT);
-    put_str(&mut buf, name);
-    put_u64(&mut buf, seq);
-    put_rows(&mut buf, rows);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    buf
+    framed(|buf| put_snapshot(buf, name, seq, rows))
 }
 
 /// Encodes a complete `SnapshotChunk` wire message directly from
@@ -456,20 +385,7 @@ pub fn encode_snapshot_chunk_frame(
     last: bool,
     rows: &[Row],
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; 4];
-    buf.push(tag::SNAPSHOT_CHUNK);
-    put_str(&mut buf, name);
-    put_u64(&mut buf, seq);
-    buf.push(chunk_flags(first, last));
-    put_rows(&mut buf, rows);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
-    buf
-}
-
-/// The `SnapshotChunk` flags byte: bit 0 = `last`, bit 1 = `first`.
-fn chunk_flags(first: bool, last: bool) -> u8 {
-    (last as u8) | ((first as u8) << 1)
+    framed(|buf| put_chunk(buf, name, seq, first, last, rows))
 }
 
 /// How many rows fit a `chunk_bytes` payload budget (at least one —
@@ -494,20 +410,11 @@ pub fn encode_snapshot_frames(
     if rows.len() <= per {
         return vec![encode_snapshot_frame(name, seq, rows)];
     }
-    let mut out = Vec::with_capacity(rows.len().div_ceil(per));
-    let mut start = 0;
-    while start < rows.len() {
-        let end = (start + per).min(rows.len());
-        out.push(encode_snapshot_chunk_frame(
-            name,
-            seq,
-            start == 0,
-            end == rows.len(),
-            &rows[start..end],
-        ));
-        start = end;
-    }
-    out
+    let n = rows.len().div_ceil(per);
+    rows.chunks(per)
+        .enumerate()
+        .map(|(i, chunk)| encode_snapshot_chunk_frame(name, seq, i == 0, i + 1 == n, chunk))
+        .collect()
 }
 
 /// [`encode_snapshot_frames`] at the [`Frame`] level, for reply paths
@@ -540,96 +447,47 @@ pub fn snapshot_frames(name: &str, seq: u64, rows: Vec<Row>, chunk_bytes: usize)
 
 // ---- decoding ------------------------------------------------------------
 
-/// A cursor over a frame body.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Malformed("truncated field"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
-    }
-
-    fn rows(&mut self) -> Result<Vec<Row>, WireError> {
-        let count = self.u32()? as usize;
-        let arity = self.u16()? as usize;
-        // Zero-arity rows occupy no body bytes, so the byte bound below
-        // cannot constrain their count; under set semantics a nullary
-        // result holds at most one (empty) tuple, so bound it directly.
-        if arity == 0 && count > 1 {
-            return Err(WireError::Malformed("zero-arity row count exceeds 1"));
-        }
-        // The remaining body bounds the claimed payload before allocation.
-        let need = count.checked_mul(arity).and_then(|c| c.checked_mul(8));
-        match need {
-            Some(n) if n <= self.buf.len() - self.pos => {}
-            _ => return Err(WireError::Malformed("row payload exceeds frame body")),
-        }
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(self.u64()?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
+fn get_rows(cur: &mut Cur<'_>) -> Result<Vec<Row>, WireError> {
+    let count = cur.u32()?;
+    let arity = cur.u16()? as usize;
+    // The remaining body bounds the claimed payload before allocation;
+    // zero-arity rows occupy no bytes, so at most one (the empty tuple
+    // of a nullary result that holds) is admitted.
+    let count = cur.count(u64::from(count), arity * 8).map_err(|_| {
+        WireError::Malformed(if arity == 0 {
+            "zero-arity row count exceeds 1"
         } else {
-            Err(WireError::Malformed("trailing bytes"))
+            "row payload exceeds frame body"
+        })
+    })?;
+    let mut rows = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut row = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            row.push(cur.u64()?);
         }
+        rows.push(row);
     }
+    Ok(rows)
 }
 
 impl Frame {
     /// Decodes a frame body (tag + fields, no length prefix). Strict:
     /// trailing bytes are an error.
     pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
-        let mut cur = Cur { buf: body, pos: 0 };
+        let mut cur = Cur::new(body);
         let frame = match cur.u8()? {
             tag::HELLO => Frame::Hello {
                 version: cur.u32()?,
                 seq: cur.u64()?,
             },
             tag::REGISTER => Frame::Register {
-                name: cur.str()?,
-                src: cur.str()?,
+                name: cur.str16()?,
+                src: cur.str16()?,
             },
-            tag::QUERY => Frame::Query { name: cur.str()? },
+            tag::QUERY => Frame::Query { name: cur.str16()? },
             tag::SUBSCRIBE => {
-                let name = cur.str()?;
+                let name = cur.str16()?;
                 let from_seq = match cur.u8()? {
                     0 => None,
                     1 => Some(cur.u64()?),
@@ -637,59 +495,49 @@ impl Frame {
                 };
                 Frame::Subscribe { name, from_seq }
             }
-            tag::UNSUBSCRIBE => Frame::Unsubscribe { name: cur.str()? },
+            tag::UNSUBSCRIBE => Frame::Unsubscribe { name: cur.str16()? },
             tag::ACK => Frame::Ack {
-                name: cur.str()?,
+                name: cur.str16()?,
                 seq: cur.u64()?,
             },
             tag::SUBSCRIBED => Frame::Subscribed {
-                name: cur.str()?,
+                name: cur.str16()?,
                 mode: SubscribeMode::from_byte(cur.u8()?)?,
                 seq: cur.u64()?,
             },
             tag::SNAPSHOT => Frame::Snapshot {
-                name: cur.str()?,
+                name: cur.str16()?,
                 seq: cur.u64()?,
-                rows: cur.rows()?,
+                rows: get_rows(&mut cur)?,
             },
             tag::SNAPSHOT_CHUNK => {
-                let name = cur.str()?;
+                let name = cur.str16()?;
                 let seq = cur.u64()?;
-                let flags = cur.u8()?;
-                if flags > 3 {
-                    return Err(WireError::Malformed("bad chunk flags"));
-                }
+                let (first, last) = cur.chunk_flags()?;
                 Frame::SnapshotChunk {
                     name,
                     seq,
-                    first: flags & 2 != 0,
-                    last: flags & 1 != 0,
-                    rows: cur.rows()?,
+                    first,
+                    last,
+                    rows: get_rows(&mut cur)?,
                 }
             }
             tag::DELTA => Frame::Delta {
-                name: cur.str()?,
+                name: cur.str16()?,
                 seq: cur.u64()?,
-                added: cur.rows()?,
-                removed: cur.rows()?,
+                added: get_rows(&mut cur)?,
+                removed: get_rows(&mut cur)?,
             },
             tag::LAGGED => Frame::Lagged {
-                name: cur.str()?,
+                name: cur.str16()?,
                 resync_at: cur.u64()?,
             },
             tag::ERROR => Frame::Error {
                 code: cur.u8()?,
-                msg: cur.str()?,
+                msg: cur.str16()?,
             },
             tag::STATS_REQUEST => Frame::StatsRequest,
-            tag::STATS_REPLY => {
-                let len = cur.u32()? as usize;
-                let bytes = cur.take(len)?;
-                Frame::StatsReply {
-                    text: String::from_utf8(bytes.to_vec())
-                        .map_err(|_| WireError::Malformed("non-UTF-8 stats text"))?,
-                }
-            }
+            tag::STATS_REPLY => Frame::StatsReply { text: cur.str32()? },
             _ => return Err(WireError::Malformed("unknown tag")),
         };
         cur.finish()?;
@@ -703,26 +551,11 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Writes pre-encoded frame bytes (as produced by [`Frame::encode`]) —
-/// the fan-out fast path: one encoding, many sockets.
-pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<(), WireError> {
-    w.write_all(bytes)?;
-    Ok(())
-}
-
 /// Reads one complete frame from `r`. Blocks per the reader's timeout
 /// configuration; a clean disconnect between frames surfaces as
 /// `WireError::Io(UnexpectedEof)`.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(len));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Frame::decode_body(&body)
+    Frame::decode_body(&read_body(r)?)
 }
 
 #[cfg(test)]

@@ -38,22 +38,16 @@ use crate::protocol::{
     encode_delta_frame, encode_snapshot_frames, read_frame, snapshot_frames, ErrorCode, Frame, Row,
     SubscribeMode, PROTOCOL_VERSION,
 };
+use cqu_common::lock;
+use cqu_common::net::{ServerOptions, TcpServer, TICK};
 use cqu_obs::{Counter, Gauge, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long blocking loops (pumps, writers, the acceptor's connect
-/// nudge) wait before re-checking the shutdown flag.
-const TICK: Duration = Duration::from_millis(50);
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One netted result delta as the serving layer sees it: the wire-level
 /// mirror of the session's `ChangeEvent`.
@@ -418,24 +412,7 @@ impl OutQueue {
     /// rate — a client that floods commands without reading trips the
     /// hard cap and loses the connection.
     fn push_ctl(&self, bytes: Arc<[u8]>) -> bool {
-        let mut st = lock(&self.state);
-        if st.closed {
-            return false;
-        }
-        if st.items.len() >= self.hard_cap {
-            let before = st.items.len();
-            st.closed = true;
-            st.items.clear();
-            self.track(before, 0);
-            drop(st);
-            self.cond.notify_all();
-            return false;
-        }
-        st.items.push_back(Out::Ctl(bytes));
-        self.track(0, 1);
-        drop(st);
-        self.cond.notify_one();
-        true
+        self.push_ctl_run(std::iter::once(bytes))
     }
 
     /// Enqueues a multi-frame control run — a chunked snapshot or a
@@ -460,12 +437,8 @@ impl OutQueue {
             return false;
         }
         if st.items.len() >= self.hard_cap {
-            let before = st.items.len();
-            st.closed = true;
-            st.items.clear();
-            self.track(before, 0);
             drop(st);
-            self.cond.notify_all();
+            self.close();
             return false;
         }
         let before = st.items.len();
@@ -558,13 +531,10 @@ impl OutQueue {
             if st.closed {
                 return Err(());
             }
-            let (g, timeout) = match self.cond.wait_timeout(st, TICK) {
-                Ok(r) => r,
-                Err(p) => {
-                    let (g, t) = p.into_inner();
-                    (g, t)
-                }
-            };
+            let (g, timeout) = self
+                .cond
+                .wait_timeout(st, TICK)
+                .unwrap_or_else(PoisonError::into_inner);
             st = g;
             if timeout.timed_out() {
                 return Ok(None);
@@ -639,10 +609,10 @@ struct FanOut {
 struct Shared {
     source: Arc<dyn FeedSource>,
     config: ServeConfig,
+    /// Stops the fan-out pumps; connections stop with their sockets.
     shutdown: AtomicBool,
     pumps: Mutex<HashMap<String, Arc<FanOut>>>,
-    conns: Mutex<Vec<std::sync::Weak<Conn>>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    pump_threads: Mutex<Vec<JoinHandle<()>>>,
     metrics: ServeMetrics,
 }
 
@@ -652,8 +622,7 @@ struct Shared {
 /// connection is torn down, and all threads are joined.
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    net: TcpServer,
 }
 
 impl Server {
@@ -664,8 +633,6 @@ impl Server {
         source: Arc<dyn FeedSource>,
         config: ServeConfig,
     ) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let registry = config
             .registry
             .clone()
@@ -676,26 +643,24 @@ impl Server {
             config,
             shutdown: AtomicBool::new(false),
             pumps: Mutex::new(HashMap::new()),
-            conns: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
+            pump_threads: Mutex::new(Vec::new()),
             metrics: ServeMetrics::new(registry),
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cqu-serve-accept".into())
-                .spawn(move || accept_loop(listener, shared))?
+        let opts = ServerOptions {
+            name: "cqu-serve",
+            handshake_timeout: shared.config.handshake_timeout,
+            max_conns: Some(shared.config.max_conns),
         };
-        Ok(Server {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-        })
+        let net = {
+            let shared = Arc::clone(&shared);
+            TcpServer::bind(addr, opts, move |stream| serve_conn(&shared, stream))?
+        };
+        Ok(Server { shared, net })
     }
 
     /// The bound address (with the OS-assigned port when bound to 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.net.local_addr()
     }
 
     /// A point-in-time copy of the server counters (advisory across
@@ -724,24 +689,14 @@ impl Server {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the acceptor with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for conn in lock(&self.shared.conns).drain(..) {
-            if let Some(conn) = conn.upgrade() {
-                conn.kill();
-            }
-        }
-        // Pumps observe the shutdown flag within one tick; reader and
-        // writer threads exit via the socket/queue teardown above.
-        let threads: Vec<_> = lock(&self.shared.threads).drain(..).collect();
+        // Connections end with their sockets; pumps observe the shutdown
+        // flag within one tick.
+        self.net.shutdown();
+        let threads: Vec<_> = lock(&self.shared.pump_threads).drain(..).collect();
         for h in threads {
             let _ = h.join();
         }
         lock(&self.shared.pumps).clear();
-        self.shared.metrics.open_connections.set(0);
     }
 }
 
@@ -754,79 +709,42 @@ impl Drop for Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        // Reap threads of connections that have since closed — a
-        // long-running server must not accumulate a JoinHandle pair per
-        // connection ever served. Finished threads join instantly.
-        {
-            let mut threads = lock(&shared.threads);
-            let mut i = 0;
-            while i < threads.len() {
-                if threads[i].is_finished() {
-                    let _ = threads.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        let mut conns = lock(&shared.conns);
-        conns.retain(|c| c.strong_count() > 0);
-        if conns.len() >= shared.config.max_conns {
-            // At capacity: refuse by closing. Dropping the stream sends
-            // RST/FIN; the client sees a dead socket, not a hung one.
-            drop(stream);
-            continue;
-        }
-        shared.metrics.connections.inc();
-        let conn = Arc::new(Conn {
-            out: OutQueue::new(
-                shared.config.queue_cap,
-                shared.config.hard_cap,
-                Arc::clone(&shared.metrics.queue_depth),
-            ),
-            subs: Mutex::new(HashMap::new()),
-            stream,
-        });
-        conns.push(Arc::downgrade(&conn));
-        // The gauge reconciles on every accept (dead entries were just
-        // pruned above) — advisory between accepts, exact at each one.
-        shared.metrics.open_connections.set(conns.len() as u64);
-        drop(conns);
-
-        let reader = {
-            let shared = Arc::clone(&shared);
-            let conn = Arc::clone(&conn);
-            std::thread::Builder::new()
-                .name("cqu-serve-read".into())
-                .spawn(move || {
-                    reader_loop(&shared, &conn);
-                    conn.kill();
-                })
-        };
-        let writer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cqu-serve-write".into())
-                .spawn(move || {
-                    writer_loop(&shared, &conn);
-                    conn.kill();
-                })
-        };
-        let mut threads = lock(&shared.threads);
-        threads.extend(reader);
-        threads.extend(writer);
+/// One connection: the reader runs on this thread, the writer on a
+/// thread of its own; the connection ends when either does.
+fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
+    shared.metrics.connections.inc();
+    shared.metrics.open_connections.add(1);
+    let conn = Arc::new(Conn {
+        out: OutQueue::new(
+            shared.config.queue_cap,
+            shared.config.hard_cap,
+            Arc::clone(&shared.metrics.queue_depth),
+        ),
+        subs: Mutex::new(HashMap::new()),
+        stream,
+    });
+    let writer = {
+        let shared = Arc::clone(shared);
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name("cqu-serve-write".into())
+            .spawn(move || {
+                writer_loop(&shared, &conn);
+                conn.kill();
+            })
+    };
+    if let Ok(writer) = writer {
+        reader_loop(shared, &conn);
+        conn.kill();
+        let _ = writer.join();
     }
+    shared.metrics.open_connections.sub(1);
 }
 
 /// Drains the connection's outbound queue onto the socket. The only
@@ -837,32 +755,25 @@ fn writer_loop(shared: &Shared, conn: &Conn) {
         match conn.out.recv_tick() {
             Err(()) => return,
             Ok(None) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
                 // Idle tick: push buffered bytes out.
                 if w.flush().is_err() {
                     return;
                 }
             }
             Ok(Some(item)) => {
-                let result = match &item {
-                    Out::Ctl(bytes) => {
-                        shared.metrics.bytes_out.add(bytes.len() as u64);
-                        w.write_all(bytes)
-                    }
-                    Out::Delta { bytes, .. } => {
-                        shared.metrics.bytes_out.add(bytes.len() as u64);
-                        w.write_all(bytes)
-                    }
+                let coalesced;
+                let bytes: &[u8] = match &item {
+                    Out::Ctl(bytes) | Out::Delta { bytes, .. } => bytes,
                     Out::Coalesced { query, delta } => {
-                        let bytes =
+                        coalesced =
                             encode_delta_frame(query, delta.seq, &delta.added, &delta.removed);
-                        shared.metrics.bytes_out.add(bytes.len() as u64);
-                        w.write_all(&bytes)
+                        &coalesced
                     }
                 };
-                if result.is_err() || (conn.out.state_is_empty() && w.flush().is_err()) {
+                shared.metrics.bytes_out.add(bytes.len() as u64);
+                let result = w.write_all(bytes);
+                let drained = lock(&conn.out.state).items.is_empty();
+                if result.is_err() || (drained && w.flush().is_err()) {
                     return;
                 }
             }
@@ -870,29 +781,15 @@ fn writer_loop(shared: &Shared, conn: &Conn) {
     }
 }
 
-impl OutQueue {
-    fn state_is_empty(&self) -> bool {
-        lock(&self.state).items.is_empty()
-    }
-}
-
 /// Executes client commands. Runs on the connection's reader thread;
 /// every reply goes through the outbound queue, never the socket
 /// directly.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let mut stream = match conn.stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    // Handshake under a read deadline: a client that connects and says
-    // nothing (slowloris) must not pin this thread pair forever. After
-    // the handshake the deadline comes off — an idle subscriber is a
-    // normal, healthy connection.
-    let timeout = Some(shared.config.handshake_timeout).filter(|t| !t.is_zero());
-    if stream.set_read_timeout(timeout).is_err() {
-        return;
-    }
-    // Handshake: the first frame must be a version-compatible Hello.
+    let mut stream = &conn.stream;
+    // Handshake: the first frame must be a version-compatible Hello,
+    // read under the runtime's handshake deadline. After the handshake
+    // the deadline comes off — an idle subscriber is a normal, healthy
+    // connection.
     match read_frame(&mut stream) {
         Ok(Frame::Hello { version, .. }) if version == PROTOCOL_VERSION => {
             let hello = Frame::Hello {
@@ -923,9 +820,6 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
             // shutdown performed by Conn::kill.
             Err(_) => return,
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let result = match frame {
             Frame::Register { name, src } => shared
                 .source
@@ -1006,16 +900,7 @@ fn handle_subscribe(
         let subs = lock(&fanout.subs);
         if let Replay::Netted { upto, delta } = shared.source.replay(name, n)? {
             let cursor = n.max(upto);
-            let mut frames = vec![Frame::Subscribed {
-                name: name.into(),
-                mode: SubscribeMode::Resumed,
-                seq: cursor,
-            }
-            .encode()
-            .into()];
-            if let Some(d) = delta {
-                frames.push(encode_delta_frame(name, cursor, &d.added, &d.removed).into());
-            }
+            let frames = opening_run(name, SubscribeMode::Resumed, cursor, Vec::new(), delta);
             return attach(conn, subs, name, frames, cursor);
         }
         // Evicted cursor: degrade to the snapshot path below.
@@ -1033,39 +918,35 @@ fn handle_subscribe(
     let subs = lock(&fanout.subs);
     if let Replay::Netted { upto, delta } = shared.source.replay(name, snap_seq)? {
         let cursor = snap_seq.max(upto);
-        let mut frames: Vec<Arc<[u8]>> = vec![Frame::Subscribed {
-            name: name.into(),
-            mode,
-            seq: cursor,
-        }
-        .encode()
-        .into()];
-        frames.extend(snap_frames);
-        if let Some(d) = delta {
-            frames.push(encode_delta_frame(name, cursor, &d.added, &d.removed).into());
-        }
+        let frames = opening_run(name, mode, cursor, snap_frames, delta);
         return attach(conn, subs, name, frames, cursor);
     }
     // Retention cannot bridge from the cached snapshot (the source
     // retains nothing, or the cache went stale past the ring): rebuild
     // while holding the subscriber lock so nothing slips past.
-    let (seq, rows) = shared.source.snapshot(name)?;
-    shared.metrics.snapshots_built.inc();
-    let encoded: Vec<Arc<[u8]>> =
-        encode_snapshot_frames(name, seq, &rows, shared.config.snapshot_chunk_bytes)
-            .into_iter()
-            .map(Arc::from)
-            .collect();
-    *lock(&fanout.snap_cache) = Some((seq, encoded.clone()));
-    let mut frames: Vec<Arc<[u8]>> = vec![Frame::Subscribed {
+    let (seq, snap_frames) = build_snapshot(shared, &mut lock(&fanout.snap_cache), name)?;
+    let frames = opening_run(name, mode, seq, snap_frames, None);
+    attach(conn, subs, name, frames, seq)
+}
+
+/// The run a subscription opens with: `Subscribed`, then any snapshot
+/// frames, then the netted catch-up delta if there is one.
+fn opening_run(
+    name: &str,
+    mode: SubscribeMode,
+    cursor: u64,
+    snapshot: Vec<Arc<[u8]>>,
+    delta: Option<FeedDelta>,
+) -> Vec<Arc<[u8]>> {
+    let subscribed = Frame::Subscribed {
         name: name.into(),
         mode,
-        seq,
-    }
-    .encode()
-    .into()];
-    frames.extend(encoded);
-    attach(conn, subs, name, frames, seq)
+        seq: cursor,
+    };
+    let mut frames = vec![Arc::from(subscribed.encode())];
+    frames.extend(snapshot);
+    frames.extend(delta.map(|d| encode_delta_frame(name, cursor, &d.added, &d.removed).into()));
+    frames
 }
 
 /// How far (in seq numbers) the cached snapshot may trail the source
@@ -1090,6 +971,15 @@ fn cached_snapshot(
             return Ok((*seq, frames.clone()));
         }
     }
+    build_snapshot(shared, &mut cache, name)
+}
+
+/// Computes, encodes and caches the query's snapshot.
+fn build_snapshot(
+    shared: &Shared,
+    cache: &mut Option<EncodedSnapshot>,
+    name: &str,
+) -> Result<EncodedSnapshot, SourceError> {
     let (seq, rows) = shared.source.snapshot(name)?;
     shared.metrics.snapshots_built.inc();
     let frames: Vec<Arc<[u8]>> =
@@ -1159,7 +1049,7 @@ fn pump_for(shared: &Arc<Shared>, name: &str) -> Result<Arc<FanOut>, SourceError
             .spawn(move || pump_loop(&shared, &fanout, feed))
             .map_err(|e| SourceError::Invalid(format!("cannot spawn pump: {e}")))?
     };
-    lock(&shared.threads).push(handle);
+    lock(&shared.pump_threads).push(handle);
     Ok(fanout)
 }
 

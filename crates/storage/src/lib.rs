@@ -8,8 +8,7 @@
 //! * [`relation`] / [`database`] — relations as hashed tuple sets, the
 //!   database with active-domain reference counting (`n = |adom(D)|` is the
 //!   parameter all the paper's bounds are stated in), sizes `|D|`/`‖D‖`.
-//! * [`update`] — update commands, logs, and a compact binary codec
-//!   (via `bytes`) so experiment workloads are replayable.
+//! * [`update`] — single-tuple update commands and their inverses.
 //! * [`index`] — hash indexes on arbitrary column subsets, both one-shot
 //!   (for recompute baselines) and incrementally maintained (for the IVM
 //!   baseline).
@@ -31,7 +30,7 @@ pub use database::Database;
 pub use index::Index;
 pub use relation::Relation;
 pub use transaction::{ApplyUpdate, Transaction};
-pub use update::{Update, UpdateLog};
+pub use update::Update;
 
 /// A database constant (`dom = N≥1`; 0 is valid for us too, but generators
 /// start at 1 to match the paper).

@@ -1,10 +1,10 @@
 //! Property tests for the storage substrate: the database behaves like a
-//! model of per-relation sets with exact active-domain refcounting, update
-//! logs round-trip through the binary codec, and maintained indexes agree
+//! model of per-relation sets with exact active-domain refcounting, replayed
+//! update sequences reproduce the database, and maintained indexes agree
 //! with freshly built ones.
 
 use cqu_query::Schema;
-use cqu_storage::{Const, Database, Index, Relation, Update, UpdateLog};
+use cqu_storage::{Const, Database, Index, Relation, Update};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -64,20 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn update_log_codec_roundtrips(ops in ops()) {
-        let s = schema();
-        let rels: Vec<_> = s.relations().collect();
-        let mut log = UpdateLog::new();
-        for (insert, r, consts) in ops {
-            let ri = (r as usize) % rels.len();
-            let t = consts[..s.arity(rels[ri])].to_vec();
-            log.push(if insert { Update::Insert(rels[ri], t) } else { Update::Delete(rels[ri], t) });
-        }
-        let bytes = log.encode();
-        prop_assert_eq!(UpdateLog::decode(&bytes).unwrap(), log);
-    }
-
-    #[test]
     fn maintained_index_matches_rebuilt(ops in ops(), col in 0usize..3) {
         let mut relation = Relation::new(3);
         let mut maintained = Index::new(vec![col]);
@@ -106,7 +92,7 @@ proptest! {
         let s = schema();
         let rels: Vec<_> = s.relations().collect();
         let mut db = Database::new(s.clone());
-        let mut log = UpdateLog::new();
+        let mut log = Vec::new();
         for (insert, r, consts) in ops {
             let ri = (r as usize) % rels.len();
             let t = consts[..s.arity(rels[ri])].to_vec();
@@ -115,7 +101,7 @@ proptest! {
             log.push(u);
         }
         let mut replayed = Database::new(s.clone());
-        replayed.apply_all(UpdateLog::decode(&log.encode()).unwrap().iter());
+        replayed.apply_all(log.iter());
         for &r in &rels {
             prop_assert_eq!(db.relation(r).sorted(), replayed.relation(r).sorted());
         }

@@ -25,6 +25,7 @@
 //! filesystems; the interesting torn state is file *data*, which is
 //! what the budgets target.
 
+use cqu_common::lock;
 use cqu_query::generator::Lcg;
 use cqu_wal::{WalDir, WalFile};
 use std::collections::BTreeMap;
@@ -105,34 +106,30 @@ impl SimDisk {
         SimDisk::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Arms a byte budget: the append that would exceed `n` more bytes
     /// crashes the disk, leaving a partial prefix in the page cache.
     pub fn arm_bytes(&self, n: u64) {
-        self.lock().byte_budget = Some(n);
+        lock(&self.inner).byte_budget = Some(n);
     }
 
     /// Arms a sync budget: after `n` more successful syncs, the next
     /// one fails before flushing and crashes the disk.
     pub fn arm_syncs(&self, n: u64) {
-        self.lock().sync_budget = Some(n);
+        lock(&self.inner).sync_budget = Some(n);
     }
 
     /// Whether an armed budget has fired.
     pub fn crashed(&self) -> bool {
-        self.lock().crashed
+        lock(&self.inner).crashed
     }
 
     /// The adversarial survivor: only fsynced bytes. Returned disk is
     /// unarmed and fully synced.
     pub fn strict_view(&self) -> SimDisk {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let disk = SimDisk::new();
         {
-            let mut v = disk.lock();
+            let mut v = lock(&disk.inner);
             for (name, f) in &inner.files {
                 v.files.insert(
                     name.clone(),
@@ -149,10 +146,10 @@ impl SimDisk {
     /// A survivor where each file keeps its synced bytes plus an
     /// `rng`-chosen prefix of its pending bytes — the torn-tail case.
     pub fn crash_view(&self, rng: &mut Lcg) -> SimDisk {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         let disk = SimDisk::new();
         {
-            let mut v = disk.lock();
+            let mut v = lock(&disk.inner);
             for (name, f) in &inner.files {
                 let keep = rng.below(f.pending.len() + 1);
                 let mut synced = f.synced.clone();
@@ -172,7 +169,7 @@ impl SimDisk {
     /// Plants a file with fully-synced `bytes` — for hand-crafting
     /// stale-segment and corruption fixtures.
     pub fn put_file(&self, name: &str, bytes: &[u8]) {
-        self.lock().files.insert(
+        lock(&self.inner).files.insert(
             name.to_string(),
             SimFile {
                 synced: bytes.to_vec(),
@@ -183,7 +180,7 @@ impl SimDisk {
 
     /// Full contents (synced + pending) of `name`, if present.
     pub fn file(&self, name: &str) -> Option<Vec<u8>> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.files.get(name).map(|f| {
             let mut all = f.synced.clone();
             all.extend_from_slice(&f.pending);
@@ -193,7 +190,7 @@ impl SimDisk {
 
     /// File names currently present.
     pub fn names(&self) -> Vec<String> {
-        self.lock().files.keys().cloned().collect()
+        lock(&self.inner).files.keys().cloned().collect()
     }
 }
 
@@ -202,15 +199,9 @@ struct SimHandle {
     inner: Arc<Mutex<Inner>>,
 }
 
-impl SimHandle {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 impl WalFile for SimHandle {
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         let landed = inner.charge_bytes(buf.len())?;
         let crashed = inner.crashed;
@@ -226,7 +217,7 @@ impl WalFile for SimHandle {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         inner.charge_sync()?;
         let file = inner
@@ -241,7 +232,7 @@ impl WalFile for SimHandle {
 
 impl WalDir for SimDisk {
     fn create(&self, name: &str) -> io::Result<Box<dyn WalFile>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         inner.files.insert(name.to_string(), SimFile::default());
         Ok(Box::new(SimHandle {
@@ -251,7 +242,7 @@ impl WalDir for SimDisk {
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.check_alive()?;
         let file = inner
             .files
@@ -263,13 +254,13 @@ impl WalDir for SimDisk {
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         inner.check_alive()?;
         Ok(inner.files.keys().cloned().collect())
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         inner
             .files
@@ -279,7 +270,7 @@ impl WalDir for SimDisk {
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         let file = inner
             .files
@@ -290,7 +281,7 @@ impl WalDir for SimDisk {
     }
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         let file = inner
             .files
@@ -304,7 +295,7 @@ impl WalDir for SimDisk {
     }
 
     fn sync_dir(&self) -> io::Result<()> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.check_alive()?;
         inner.charge_sync()
     }

@@ -1,6 +1,7 @@
 //! `cqu-wal`: a segmented write-ahead log for the dynamic query engine.
 //!
-//! Pure std, no dependencies — and deliberately engine-agnostic: records
+//! Pure std (the codec comes from `cqu_common::wire`, metrics from
+//! `cqu-obs`) — and deliberately engine-agnostic: records
 //! carry raw relation ids, `u64` constants, and session framing
 //! (registrations, shard ids, transaction begin/commit, rollback
 //! compensation), leaving the session semantics to the `cq-updates`

@@ -20,6 +20,7 @@
 use crate::crc32::crc32;
 use crate::record::{Rec, MAX_RECORD_LEN};
 use crate::vfs::{WalDir, WalFile};
+use cqu_common::wire::{put_u32, put_u64, Cur, WireError};
 use cqu_obs::{Counter, Histogram, Registry};
 use std::io;
 use std::sync::Arc;
@@ -284,10 +285,9 @@ impl Wal {
 
     fn open_segment(&mut self, index: u64) -> io::Result<()> {
         let mut seg = self.dir.create(&segment_name(index))?;
-        let mut header = Vec::with_capacity(SEG_HEADER);
-        header.extend_from_slice(SEG_MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&self.term.to_le_bytes());
+        let mut header = SEG_MAGIC.to_vec();
+        put_u32(&mut header, FORMAT_VERSION);
+        put_u64(&mut header, self.term);
         seg.append(&header)?;
         self.dir.sync_dir()?;
         self.seg = seg;
@@ -586,12 +586,11 @@ impl Shipped {
 /// by [`Wal::checkpoint`] and [`Wal::seed`].
 fn publish_checkpoint(dir: &dyn WalDir, seq: u64, body: &[u8]) -> io::Result<()> {
     let mut file = dir.create(CKPT_TMP)?;
-    let mut head = Vec::with_capacity(24);
-    head.extend_from_slice(CKPT_MAGIC);
-    head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    head.extend_from_slice(&seq.to_le_bytes());
-    head.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    head.extend_from_slice(&crc32(body).to_le_bytes());
+    let mut head = CKPT_MAGIC.to_vec();
+    put_u32(&mut head, FORMAT_VERSION);
+    put_u64(&mut head, seq);
+    put_u32(&mut head, body.len() as u32);
+    put_u32(&mut head, crc32(body));
     file.append(&head)?;
     file.append(body)?;
     file.sync()?;
@@ -731,33 +730,28 @@ fn drop_dangling_tx(records: &mut Vec<Rec>, seg_start: usize) {
 /// Validates one checkpoint file; `Ok(None)` means invalid (skip it).
 fn read_checkpoint(dir: &dyn WalDir, name: &str, seq: u64) -> Result<Option<Vec<u8>>, WalError> {
     let bytes = dir.read(name)?;
-    if bytes.len() < 24 || &bytes[..4] != CKPT_MAGIC {
-        return Ok(None);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let file_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let body_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if version != FORMAT_VERSION || file_seq != seq || bytes.len() != 24 + body_len {
-        return Ok(None);
-    }
-    let body = &bytes[24..];
-    if crc32(body) != crc {
-        return Ok(None);
-    }
-    Ok(Some(body.to_vec()))
+    Ok(checkpoint_body(&bytes, seq).map(<[u8]>::to_vec))
+}
+
+/// The body of `bytes` if they are an intact checkpoint file for `seq`.
+fn checkpoint_body(bytes: &[u8], seq: u64) -> Option<&[u8]> {
+    let mut r = Cur::new(bytes);
+    let intact =
+        r.take(4).ok()? == CKPT_MAGIC && r.u32().ok()? == FORMAT_VERSION && r.u64().ok()? == seq;
+    let len = r.u32().ok()? as usize;
+    let crc = r.u32().ok()?;
+    let body = r.rest();
+    (intact && body.len() == len && crc32(body) == crc).then_some(body)
 }
 
 /// Reads the leadership term out of one segment's header, if the header
 /// is intact.
 fn segment_term(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < SEG_HEADER
-        || &bytes[..4] != SEG_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FORMAT_VERSION
-    {
+    let mut r = Cur::new(bytes);
+    if r.take(4).ok()? != SEG_MAGIC || r.u32().ok()? != FORMAT_VERSION {
         return None;
     }
-    Some(u64::from_le_bytes(bytes[8..16].try_into().unwrap()))
+    r.u64().ok()
 }
 
 /// Walks one segment's frames into `records`. Returns `Some(valid_len)`
@@ -781,10 +775,7 @@ fn scan_segment(
         }
     };
 
-    if bytes.len() < SEG_HEADER
-        || &bytes[..4] != SEG_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != FORMAT_VERSION
-    {
+    if segment_term(bytes).is_none() {
         // A header never appears torn unless the crash hit the very
         // first append to a fresh segment.
         return torn(0, "bad segment header");
@@ -792,28 +783,29 @@ fn scan_segment(
 
     let mut offset = SEG_HEADER;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 {
+        let mut r = Cur::new(&bytes[offset..]);
+        let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else {
             return torn(offset, "truncated frame header");
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+        };
+        let len = len as usize;
         if len > MAX_RECORD_LEN {
             return torn(offset, "frame length exceeds record cap");
         }
-        if rest.len() < 8 + len {
+        let Ok(payload) = r.take(len) else {
             return torn(offset, "truncated frame body");
-        }
-        let payload = &rest[8..8 + len];
+        };
         if crc32(payload) != crc {
             return torn(offset, "frame crc mismatch");
         }
         // A valid CRC over an undecodable payload is real corruption (a
         // torn write cannot forge a checksum) — refuse even on the tail.
-        let rec = Rec::decode(payload).map_err(|what| WalError::Corrupt {
+        let rec = Rec::decode(payload).map_err(|e| WalError::Corrupt {
             file: name.to_string(),
             offset: offset as u64,
-            what,
+            what: match e {
+                WireError::Malformed(what) => what,
+                _ => "undecodable record",
+            },
         })?;
         records.push(rec);
         offset += 8 + len;

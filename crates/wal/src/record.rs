@@ -1,8 +1,7 @@
 //! WAL record payloads and their binary encoding.
 //!
 //! The WAL is engine-agnostic: records carry raw relation ids and
-//! `u64` constants (the same representation `cqu-storage`'s `UpdateLog`
-//! uses), plus the session-level framing — registration DDL, shard ids,
+//! `u64` constants, plus the session-level framing — registration DDL, shard ids,
 //! transaction begin/commit, and rollback compensation. The `cq-updates`
 //! durable layer translates to and from its own types.
 //!
@@ -12,10 +11,11 @@
 //! u32 payload_len | u32 crc32(payload) | payload
 //! ```
 //!
-//! All integers little-endian. The payload's first byte is the record
-//! tag; the rest is tag-specific.
+//! All integers little-endian ([`cqu_common::wire`]). The payload's
+//! first byte is the record tag; the rest is tag-specific.
 
 use crate::crc32::crc32;
+use cqu_common::wire::{put_bytes32, put_u16, put_u32, put_u64, Cur, WireError};
 
 /// Sanity cap on a single record's payload (16 MiB). Anything larger in
 /// a length prefix is treated as corruption/torn data, not an
@@ -96,8 +96,8 @@ impl Rec {
             Rec::Register { name, src, choice } => {
                 out.push(TAG_REGISTER);
                 out.push(*choice);
-                put_str(out, name);
-                put_str(out, src);
+                put_bytes32(out, name.as_bytes());
+                put_bytes32(out, src.as_bytes());
             }
             Rec::Update {
                 seq,
@@ -107,43 +107,43 @@ impl Rec {
                 tuple,
             } => {
                 out.push(TAG_UPDATE);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&shard.to_le_bytes());
+                put_u64(out, *seq);
+                put_u16(out, *shard);
                 out.push(u8::from(*insert));
-                out.extend_from_slice(&rel.to_le_bytes());
-                let arity = u16::try_from(tuple.len()).expect("arity fits u16");
-                out.extend_from_slice(&arity.to_le_bytes());
-                for c in tuple {
-                    out.extend_from_slice(&c.to_le_bytes());
+                put_u32(out, *rel);
+                put_u16(out, u16::try_from(tuple.len()).expect("arity fits u16"));
+                for &c in tuple {
+                    put_u64(out, c);
                 }
             }
             Rec::TxBegin { first_seq } => {
                 out.push(TAG_TX_BEGIN);
-                out.extend_from_slice(&first_seq.to_le_bytes());
+                put_u64(out, *first_seq);
             }
             Rec::TxCommit { last_seq } => {
                 out.push(TAG_TX_COMMIT);
-                out.extend_from_slice(&last_seq.to_le_bytes());
+                put_u64(out, *last_seq);
             }
             Rec::SeqBurn { upto } => {
                 out.push(TAG_SEQ_BURN);
-                out.extend_from_slice(&upto.to_le_bytes());
+                put_u64(out, *upto);
             }
         }
     }
 
-    /// Decodes a payload produced by [`Rec::encode`]. `Err` carries a
-    /// static description of what was malformed.
-    pub fn decode(payload: &[u8]) -> Result<Rec, &'static str> {
-        let mut r = Reader { buf: payload };
+    /// Decodes a payload produced by [`Rec::encode`]. Strict: a short
+    /// field, an unknown tag, or trailing bytes is
+    /// [`WireError::Malformed`].
+    pub fn decode(payload: &[u8]) -> Result<Rec, WireError> {
+        let mut r = Cur::new(payload);
         let rec = match r.u8()? {
             TAG_MODE => Rec::Mode {
                 sharded: r.u8()? != 0,
             },
             TAG_REGISTER => {
                 let choice = r.u8()?;
-                let name = r.str()?;
-                let src = r.str()?;
+                let name = r.str32()?;
+                let src = r.str32()?;
                 Rec::Register { name, src, choice }
             }
             TAG_UPDATE => {
@@ -152,13 +152,10 @@ impl Rec {
                 let insert = r.u8()? != 0;
                 let rel = r.u32()?;
                 let arity = r.u16()? as usize;
-                if r.buf.len() != arity * 8 {
-                    return Err("update tuple length mismatch");
+                if r.remaining() != arity * 8 {
+                    return Err(WireError::Malformed("update tuple length mismatch"));
                 }
-                let mut tuple = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    tuple.push(r.u64()?);
-                }
+                let tuple = (0..arity).map(|_| r.u64()).collect::<Result<_, _>>()?;
                 Rec::Update {
                     seq,
                     shard,
@@ -172,11 +169,9 @@ impl Rec {
             },
             TAG_TX_COMMIT => Rec::TxCommit { last_seq: r.u64()? },
             TAG_SEQ_BURN => Rec::SeqBurn { upto: r.u64()? },
-            _ => return Err("unknown record tag"),
+            _ => return Err(WireError::Malformed("unknown record tag")),
         };
-        if !r.buf.is_empty() {
-            return Err("trailing bytes after record");
-        }
+        r.finish()?;
         Ok(rec)
     }
 
@@ -184,54 +179,9 @@ impl Rec {
     pub fn frame(&self, out: &mut Vec<u8>) {
         let mut payload = Vec::new();
         self.encode(&mut payload);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        put_u32(out, payload.len() as u32);
+        put_u32(out, crc32(&payload));
         out.extend_from_slice(&payload);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], &'static str> {
-        if self.buf.len() < n {
-            return Err("record truncated");
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, &'static str> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, &'static str> {
-        let len = self.u32()? as usize;
-        if len > MAX_RECORD_LEN {
-            return Err("string length exceeds record cap");
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string not utf-8")
     }
 }
 

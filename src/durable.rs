@@ -51,6 +51,7 @@ use crate::session::{
 };
 use crate::shard::{ShardedSession, ShardedSessionBuilder, ShardedTransaction};
 use cqu_baseline::EngineKind;
+use cqu_common::wire::{put_bytes32, put_u16, put_u32, put_u64, Cur, WireError};
 use cqu_common::FxHashMap;
 use cqu_dynamic::UpdateReport;
 use cqu_obs::Registry;
@@ -354,76 +355,53 @@ fn encode_ckpt_body(
     schema: &Schema,
     mut tuples_of: impl FnMut(RelId) -> Vec<Tuple>,
 ) -> Vec<u8> {
-    let put_bytes = |out: &mut Vec<u8>, b: &[u8]| {
-        out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-        out.extend_from_slice(b);
-    };
-    let mut out = Vec::new();
-    out.push(u8::from(sharded));
-    out.extend_from_slice(&(regs.len() as u32).to_le_bytes());
+    let mut out = vec![u8::from(sharded)];
+    put_u32(&mut out, regs.len() as u32);
     for (name, src, choice) in regs {
         out.push(*choice);
-        put_bytes(&mut out, name.as_bytes());
-        put_bytes(&mut out, src.as_bytes());
+        put_bytes32(&mut out, name.as_bytes());
+        put_bytes32(&mut out, src.as_bytes());
     }
-    out.extend_from_slice(&(schema.len() as u32).to_le_bytes());
+    put_u32(&mut out, schema.len() as u32);
     for rel in schema.relations() {
         let tuples = tuples_of(rel);
-        out.extend_from_slice(&(schema.arity(rel) as u16).to_le_bytes());
-        out.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
-        for t in &tuples {
-            for c in t {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
+        put_u16(&mut out, schema.arity(rel) as u16);
+        put_u64(&mut out, tuples.len() as u64);
+        for &c in tuples.iter().flatten() {
+            put_u64(&mut out, c);
         }
     }
     out
 }
 
+/// Decodes a checkpoint body read from disk or received from a leader.
+/// Every count is checked against the bytes left before it sizes an
+/// allocation, so a short or corrupt body is refused, never trusted.
 pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
-    struct R<'a>(&'a [u8]);
-    impl R<'_> {
-        fn take(&mut self, n: usize) -> Result<&[u8], DurableError> {
-            if self.0.len() < n {
-                return Err(DurableError::Recovery("checkpoint body truncated".into()));
-            }
-            let (head, tail) = self.0.split_at(n);
-            self.0 = tail;
-            Ok(head)
-        }
-        fn u8(&mut self) -> Result<u8, DurableError> {
-            Ok(self.take(1)?[0])
-        }
-        fn u16(&mut self) -> Result<u16, DurableError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        fn u32(&mut self) -> Result<u32, DurableError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        fn u64(&mut self) -> Result<u64, DurableError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        fn str(&mut self) -> Result<String, DurableError> {
-            let len = self.u32()? as usize;
-            String::from_utf8(self.take(len)?.to_vec())
-                .map_err(|_| DurableError::Recovery("checkpoint string not utf-8".into()))
-        }
-    }
-    let mut r = R(body);
+    read_ckpt_body(body).map_err(|e| DurableError::Recovery(format!("checkpoint body: {e}")))
+}
+
+fn read_ckpt_body(body: &[u8]) -> Result<CkptBody, WireError> {
+    let mut r = Cur::new(body);
     let sharded = r.u8()? != 0;
-    let n_regs = r.u32()? as usize;
+    // A registration takes at least 9 bytes (choice + two lengths).
+    let n_regs = r.u32()?;
+    let n_regs = r.count(n_regs.into(), 9)?;
     let mut regs = Vec::with_capacity(n_regs);
     for _ in 0..n_regs {
         let choice = r.u8()?;
-        let name = r.str()?;
-        let src = r.str()?;
+        let name = r.str32()?;
+        let src = r.str32()?;
         regs.push((name, src, choice));
     }
-    let n_rels = r.u32()? as usize;
+    // A relation header takes 10 bytes (arity + count).
+    let n_rels = r.u32()?;
+    let n_rels = r.count(n_rels.into(), 10)?;
     let mut rels = Vec::with_capacity(n_rels);
     for _ in 0..n_rels {
         let arity = r.u16()? as usize;
-        let count = r.u64()? as usize;
+        let count = r.u64()?;
+        let count = r.count(count, arity * 8)?;
         let mut tuples = Vec::with_capacity(count);
         for _ in 0..count {
             let mut t = Vec::with_capacity(arity);
@@ -434,11 +412,7 @@ pub(crate) fn decode_ckpt_body(body: &[u8]) -> Result<CkptBody, DurableError> {
         }
         rels.push((arity, tuples));
     }
-    if !r.0.is_empty() {
-        return Err(DurableError::Recovery(
-            "trailing bytes after checkpoint body".into(),
-        ));
-    }
+    r.finish()?;
     Ok(CkptBody {
         sharded,
         regs,
@@ -1302,5 +1276,37 @@ impl DurableTransaction<'_, '_> {
     /// Effective updates so far across the whole transaction.
     pub fn effective_len(&self) -> usize {
         self.logged.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A body with no registrations and one relation of `arity`
+    /// claiming `count` tuples, followed by `payload`.
+    fn one_relation_body(arity: u16, count: u64, payload: &[u8]) -> Vec<u8> {
+        let mut body = vec![0, 0, 0, 0, 0, 1, 0, 0, 0];
+        put_u16(&mut body, arity);
+        put_u64(&mut body, count);
+        body.extend_from_slice(payload);
+        body
+    }
+
+    #[test]
+    fn short_checkpoint_bodies_are_refused_before_allocating() {
+        // A tuple count past the body: once a capacity-overflow panic.
+        let body = one_relation_body(1, u64::MAX, &[7, 0, 0, 0]);
+        assert_eq!(body.len(), 23);
+        assert!(decode_ckpt_body(&body).is_err());
+        // Zero-arity tuples occupy no bytes: once 2^27 empty tuples.
+        let body = one_relation_body(0, 1 << 27, &[]);
+        assert_eq!(body.len(), 19);
+        assert!(decode_ckpt_body(&body).is_err());
+        // A nullary relation that holds, and a one-tuple relation.
+        let ckpt = decode_ckpt_body(&one_relation_body(0, 1, &[])).unwrap();
+        assert_eq!(ckpt.rels, vec![(0, vec![vec![]])]);
+        let ckpt = decode_ckpt_body(&one_relation_body(1, 1, &[7, 0, 0, 0, 0, 0, 0, 0])).unwrap();
+        assert_eq!(ckpt.rels, vec![(1, vec![vec![7]])]);
     }
 }

@@ -134,6 +134,6 @@ pub mod prelude {
     pub use cqu_query::{
         core_of, parse_query, Classification, Query, QueryBuilder, QueryError, Schema, Var, Verdict,
     };
-    pub use cqu_storage::{ApplyUpdate, Const, Database, Transaction, Update, UpdateLog};
+    pub use cqu_storage::{ApplyUpdate, Const, Database, Transaction, Update};
     pub use cqu_wal::{FsDir, FsyncPolicy, WalDir};
 }

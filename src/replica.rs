@@ -65,6 +65,7 @@ use crate::session::{
     PinReader, QuerySnapshot, ReplayOutcome, Resume, SharedSession, Subscription,
 };
 use crate::shard::ShardedSession;
+use cqu_common::lock;
 use cqu_query::RelId;
 use cqu_storage::Update;
 use cqu_wal::{Rec, WalDir};
@@ -72,16 +73,12 @@ use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 pub use cqu_repl::{
     DenyReason, FollowerConfig, FollowerProgress, FollowerStats, LeaderConfig, LeaderStats,
 };
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()

@@ -70,7 +70,7 @@
 
 use crate::error::CqError;
 use cqu_baseline::EngineKind;
-use cqu_common::{EpochCell, FxHashMap};
+use cqu_common::{lock, EpochCell, FxHashMap};
 use cqu_dynamic::{DynamicEngine, ResultDelta, ResultSnapshot, UpdateReport};
 use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::classify::{classify, Classification, Verdict};
@@ -81,16 +81,8 @@ use cqu_serve::ring::SeqRing;
 use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
-
-/// Locks an internal fine-grained mutex, shrugging off poisoning: the
-/// guarded state (subscriber lists, snapshot caches) is replaced
-/// wholesale under the lock, so a panicked holder cannot leave it
-/// half-written.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How [`Session::register_with`] picks an engine for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

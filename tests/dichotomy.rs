@@ -4,6 +4,9 @@
 
 use cq_updates::prelude::*;
 use cq_updates::query::hierarchical::is_q_hierarchical;
+use cq_updates::query::RelId;
+use cq_updates::repl::protocol::decode_records;
+use cq_updates::wal::Rec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,13 +125,14 @@ fn verdict_monotonicity() {
     }
 }
 
-/// Serialised update logs replay identically through the engine.
+/// Serialised update logs replay identically through the engine: each
+/// update round-trips through the WAL record codec.
 #[test]
 fn update_log_roundtrip_replay() {
     let q = parse_query("Q(x, y) :- E(x, y), T(y).").unwrap();
     let er = q.schema().relation("E").unwrap();
     let tr = q.schema().relation("T").unwrap();
-    let mut log = UpdateLog::new();
+    let mut log = Vec::new();
     let mut rng = SmallRng::seed_from_u64(5);
     for _ in 0..400 {
         let t: Vec<Const> = vec![rng.gen_range(1..=8), rng.gen_range(1..=8)];
@@ -141,8 +145,32 @@ fn update_log_roundtrip_replay() {
             log.push(Update::Insert(tr, vec![rng.gen_range(1..=8)]));
         }
     }
-    let bytes = log.encode();
-    let decoded = UpdateLog::decode(&bytes).unwrap();
+    let mut bytes = Vec::new();
+    for (seq, u) in (1..).zip(&log) {
+        Rec::Update {
+            seq,
+            shard: 0,
+            insert: u.is_insert(),
+            rel: u.relation().0,
+            tuple: u.tuple().to_vec(),
+        }
+        .frame(&mut bytes);
+    }
+    let mut decoded = Vec::new();
+    for rec in decode_records(&bytes).unwrap() {
+        let Rec::Update {
+            insert, rel, tuple, ..
+        } = rec
+        else {
+            panic!("unexpected record {rec:?}");
+        };
+        let rel = RelId(rel);
+        decoded.push(if insert {
+            Update::Insert(rel, tuple)
+        } else {
+            Update::Delete(rel, tuple)
+        });
+    }
     assert_eq!(decoded, log);
 
     let mut a = QhEngine::new(&q, &Database::new(q.schema().clone())).unwrap();

@@ -397,7 +397,7 @@ proptest! {
         session.register_query("q", &q, EngineChoice::Auto).unwrap();
         let q = session.query("q").unwrap().query().clone();
         let mut oracle = RecomputeEngine::empty(&q);
-        let log = UpdateLog::from_updates(workload(&q, seed ^ 0xA5A5, 60, 4));
+        let log = workload(&q, seed ^ 0xA5A5, 60, 4);
         for (step, u) in log.iter().enumerate() {
             let changed = session.apply(u).unwrap();
             prop_assert_eq!(oracle.apply(u), changed, "effectiveness @{}", step);
