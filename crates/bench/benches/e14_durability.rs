@@ -7,7 +7,9 @@
 //!   against the no-WAL in-memory baseline. On the in-memory fault disk
 //!   the gap is pure framing + CRC bookkeeping; on a real directory the
 //!   `Always` column adds the physical fsync — the number a deployment
-//!   trades acknowledged-durability against.
+//!   trades acknowledged-durability against. The in-memory disk runs
+//!   each policy over a single-writer and a sharded session, which share
+//!   one commit path.
 //! * **Recovery time vs log length** — rebuilding a session from a log
 //!   of N updates, tail-replay only versus recovering from a checkpoint
 //!   (load the pinned state, skip the covered tail). Checkpointing turns
@@ -36,21 +38,28 @@ fn workload(schema: &Schema, steps: usize) -> Vec<Update> {
 }
 
 fn durable_on(disk: SimDisk, fsync: FsyncPolicy) -> DurableSession {
-    let opts = DurableOptions {
-        fsync,
-        segment_bytes: 32 << 20, // no rotation mid-measurement
-        ..DurableOptions::default()
-    };
-    let sess = DurableSession::create(Box::new(disk), opts).unwrap();
+    let sess = DurableSession::create(Box::new(disk), opts(fsync)).unwrap();
     sess.register(QUERY.0, QUERY.1).unwrap();
     sess
 }
 
+fn opts(fsync: FsyncPolicy) -> DurableOptions {
+    DurableOptions {
+        fsync,
+        segment_bytes: 32 << 20, // no rotation mid-measurement
+        ..DurableOptions::default()
+    }
+}
+
 fn schema_of(sess: &DurableSession) -> Schema {
-    sess.shared()
-        .expect("single-writer mode")
-        .read(|s| s.schema().clone())
-        .unwrap()
+    match sess.sharded() {
+        Some(s) => s.schema().clone(),
+        None => sess
+            .shared()
+            .expect("single-writer mode")
+            .read(|s| s.schema().clone())
+            .unwrap(),
+    }
 }
 
 /// Commit-path latency per `BATCH`-update batch under each fsync
@@ -92,28 +101,28 @@ fn bench_fsync_policies(c: &mut Criterion) {
     ];
 
     for (name, fsync) in policies {
-        let sess = durable_on(SimDisk::new(), fsync);
-        let script = workload(&schema_of(&sess), 1 << 16);
-        let mut at = 0;
-        group.bench_function(BenchmarkId::new("simdisk", name), |b| {
-            b.iter(|| {
-                let chunk = &script[at..at + BATCH];
-                at = (at + BATCH) % (script.len() - BATCH);
-                sess.apply_batch(chunk).unwrap().applied
-            })
-        });
+        let single = durable_on(SimDisk::new(), fsync);
+        let sharded =
+            DurableSession::create_sharded(Box::new(SimDisk::new()), opts(fsync), &[QUERY])
+                .unwrap();
+        for (arm, sess) in [("simdisk", single), ("simdisk_sharded", sharded)] {
+            let script = workload(&schema_of(&sess), 1 << 16);
+            let mut at = 0;
+            group.bench_function(BenchmarkId::new(arm, name), |b| {
+                b.iter(|| {
+                    let chunk = &script[at..at + BATCH];
+                    at = (at + BATCH) % (script.len() - BATCH);
+                    sess.apply_batch(chunk).unwrap().applied
+                })
+            });
+        }
     }
 
     for (name, fsync) in policies {
         let dir = std::env::temp_dir().join(format!("cqu_e14_{}_{}", std::process::id(), name));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let opts = DurableOptions {
-            fsync,
-            segment_bytes: 32 << 20,
-            ..DurableOptions::default()
-        };
-        let sess = DurableSession::create_at(&dir, opts).unwrap();
+        let sess = DurableSession::create_at(&dir, opts(fsync)).unwrap();
         sess.register(QUERY.0, QUERY.1).unwrap();
         let script = workload(&schema_of(&sess), 1 << 16);
         let mut at = 0;

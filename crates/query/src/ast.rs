@@ -9,7 +9,7 @@
 use crate::QueryError;
 use cqu_common::FxHashMap;
 
-/// A query variable, identified by index into [`Query::var_names`].
+/// A query variable, identified by index (see [`Query::var_name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub u32);
 

@@ -1,7 +1,13 @@
-//! Durable sessions: the WAL-backed deployment of [`SharedSession`] /
-//! [`ShardedSession`].
+//! Durable sessions: the WAL-backed deployment of a [`ShardedSession`].
 //!
-//! A [`DurableSession`] routes every mutation through a write-ahead log
+//! A [`DurableSession`] wraps one [`ShardedSession`] in either mode: a
+//! sealed multi-shard session ([`DurableSession::create_sharded`]), or
+//! the open one-shard form over a single-writer [`Session`] that still
+//! accepts registration ([`DurableSession::create`]). Every commit,
+//! transaction and checkpoint below takes the same path in both modes;
+//! only registration and the logged `Mode` record tell them apart.
+//!
+//! Every mutation goes through a write-ahead log
 //! (`cqu-wal`) with **log-before-publish** discipline: the effective
 //! updates of a commit — with their global sequence numbers — are
 //! framed, appended, and (per [`FsyncPolicy`]) fsynced *before* the
@@ -38,16 +44,15 @@
 //! invisible while the writer lock is held — and log inside the commit
 //! window, still before any event publishes.
 //!
-//! Durable writes serialize through the WAL lock even on a sharded
-//! backend (one log is one total order); sharding still buys parallel
-//! *reads* and feed fan-out. All mutations must go through the
+//! Durable writes serialize through the WAL lock even with many shards
+//! (one log is one total order); sharding still buys parallel *reads*
+//! and feed fan-out. All mutations must go through the
 //! `DurableSession` — writing through an escape-hatch handle bypasses
 //! the log and forfeits every guarantee here.
 
 use crate::error::CqError;
 use crate::session::{
-    validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SessionTransaction,
-    SharedSession,
+    validate_update, EngineChoice, QueryId, QuerySnapshot, Session, SharedSession,
 };
 use crate::shard::{ShardedSession, ShardedSessionBuilder, ShardedTransaction};
 use cqu_baseline::EngineKind;
@@ -119,7 +124,7 @@ pub struct DurableOptions {
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
     /// Metrics registry shared into every layer of the session (WAL,
-    /// backend, shards). `None` leaves the session uninstrumented —
+    /// session, shards). `None` leaves the session uninstrumented —
     /// the record paths then skip metric work entirely.
     pub registry: Option<Arc<Registry>>,
 }
@@ -143,65 +148,6 @@ impl DurableOptions {
     }
 }
 
-/// The wrapped in-memory session. `pub(crate)` (and cheaply clonable —
-/// both variants are handles) so the replica glue in [`crate::replica`]
-/// can drive the same machinery from a replication stream.
-#[derive(Clone)]
-pub(crate) enum Backend {
-    Single(SharedSession),
-    Sharded(ShardedSession),
-}
-
-impl Backend {
-    pub(crate) fn schema(&self) -> Result<Schema, CqError> {
-        match self {
-            Backend::Single(s) => s.read(|s| s.schema().clone()),
-            Backend::Sharded(s) => Ok(s.schema().clone()),
-        }
-    }
-
-    pub(crate) fn seq(&self) -> Result<u64, CqError> {
-        match self {
-            Backend::Single(s) => s.read(|s| s.seq()),
-            Backend::Sharded(s) => Ok(s.seq()),
-        }
-    }
-
-    pub(crate) fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
-        match self {
-            Backend::Single(s) => s.apply_batch(updates),
-            Backend::Sharded(s) => s.apply_batch(updates),
-        }
-    }
-
-    pub(crate) fn force_seq(&self, seq: u64) -> Result<(), CqError> {
-        match self {
-            Backend::Single(s) => s.write(|s| s.force_seq(seq)),
-            Backend::Sharded(s) => s.force_seq(seq),
-        }
-    }
-
-    /// Applies `updates` inside one backend transaction — all-or-nothing
-    /// with a single published event, which is how a replica replays a
-    /// leader's `TxBegin … TxCommit` group.
-    pub(crate) fn apply_tx(&self, updates: &[Update]) -> Result<(), CqError> {
-        match self {
-            Backend::Single(s) => s.transaction(|t| {
-                for u in updates {
-                    t.apply(u)?;
-                }
-                Ok(())
-            }),
-            Backend::Sharded(s) => s.transaction(|t| {
-                for u in updates {
-                    t.apply(u)?;
-                }
-                Ok(())
-            }),
-        }
-    }
-}
-
 /// Log state guarded by one mutex: the writer, the registration list
 /// (name, src, encoded choice) that checkpoints serialize, and the
 /// attached replication queues.
@@ -219,7 +165,9 @@ struct WalState {
 /// discipline and recovery semantics.
 pub struct DurableSession {
     wal: Mutex<WalState>,
-    backend: Backend,
+    /// Sealed in sharded mode; the open one-shard form in single-writer
+    /// mode.
+    session: ShardedSession,
     /// Packed [`epoch`] `(term, lifetime)`: the lifetime half is the
     /// startup segment index (strictly increasing across recoveries of
     /// one log), the term half is the leadership term (bumped only by
@@ -421,6 +369,24 @@ fn read_ckpt_body(body: &[u8]) -> Result<CkptBody, WireError> {
 }
 
 impl DurableSession {
+    fn assemble(
+        wal: Wal,
+        regs: Vec<(String, String, u8)>,
+        session: ShardedSession,
+        epoch: u64,
+    ) -> DurableSession {
+        DurableSession {
+            wal: Mutex::new(WalState {
+                wal,
+                regs,
+                sinks: Vec::new(),
+                next_sink: 1,
+            }),
+            session,
+            epoch,
+        }
+    }
+
     /// Creates a fresh single-writer durable session over `dir`. Refuses
     /// a directory that already holds a log — use
     /// [`DurableSession::recover`] for that.
@@ -428,28 +394,7 @@ impl DurableSession {
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
     ) -> Result<DurableSession, DurableError> {
-        ensure_virgin(&*dir)?;
-        let mut wal = Wal::new(dir, opts.wal(), 1, 0)?;
-        if let Some(r) = &opts.registry {
-            wal.attach_registry(Arc::clone(r));
-        }
-        wal.append(&Rec::Mode { sharded: false });
-        wal.commit()?;
-        wal.sync()?;
-        let mut session = Session::new();
-        if let Some(r) = &opts.registry {
-            session.share_registry(Arc::clone(r));
-        }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs: Vec::new(),
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend: Backend::Single(SharedSession::new(session)),
-            epoch: epoch::compose(0, 1),
-        })
+        DurableSession::create_with(dir, opts, false, Vec::new())
     }
 
     /// Creates a fresh sharded durable session over `dir`, registering
@@ -465,41 +410,43 @@ impl DurableSession {
                 "a sharded session needs at least one query",
             ));
         }
+        let regs = regs
+            .iter()
+            .map(|(name, src)| ((*name).to_string(), (*src).to_string(), 0u8))
+            .collect();
+        DurableSession::create_with(dir, opts, true, regs)
+    }
+
+    /// Builds the session and opens a fresh log holding the `Mode`
+    /// record and the registrations.
+    fn create_with(
+        dir: Box<dyn WalDir>,
+        opts: DurableOptions,
+        sharded: bool,
+        regs: Vec<(String, String, u8)>,
+    ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
-        let mut builder = ShardedSessionBuilder::new();
-        for (name, src) in regs {
-            builder.register(name, src)?;
-        }
-        if let Some(r) = &opts.registry {
-            builder.share_registry(Arc::clone(r));
-        }
-        let session = builder.build()?;
+        let session = build_session(sharded, &regs, opts.registry.as_ref())?;
         let mut wal = Wal::new(dir, opts.wal(), 1, 0)?;
         if let Some(r) = &opts.registry {
             wal.attach_registry(Arc::clone(r));
         }
-        wal.append(&Rec::Mode { sharded: true });
-        let mut reglist = Vec::with_capacity(regs.len());
-        for (name, src) in regs {
+        wal.append(&Rec::Mode { sharded });
+        for (name, src, choice) in &regs {
             wal.append(&Rec::Register {
-                name: (*name).to_string(),
-                src: (*src).to_string(),
-                choice: 0,
+                name: name.clone(),
+                src: src.clone(),
+                choice: *choice,
             });
-            reglist.push(((*name).to_string(), (*src).to_string(), 0u8));
         }
         wal.commit()?;
         wal.sync()?;
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs: reglist,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend: Backend::Sharded(session),
-            epoch: epoch::compose(0, 1),
-        })
+        Ok(DurableSession::assemble(
+            wal,
+            regs,
+            session,
+            epoch::compose(0, 1),
+        ))
     }
 
     /// [`DurableSession::create`] over a filesystem path.
@@ -568,11 +515,11 @@ impl DurableSession {
                 }
             }
         }
-        let backend = build_backend(sharded, &regs, opts.registry.as_ref())?;
+        let session = build_session(sharded, &regs, opts.registry.as_ref())?;
 
         // Load checkpoint tuples, batched per relation.
         if let Some((_, body)) = &ckpt {
-            load_ckpt_tuples(&backend, body)?;
+            load_ckpt_tuples(&session, body)?;
         }
 
         // Replay the tail.
@@ -591,17 +538,18 @@ impl DurableSession {
                     }
                 }
                 Rec::Register { name, src, choice } => {
-                    if sharded || registered.contains(name) {
+                    // A sealed session took every registration up front.
+                    let Some(shard) = session.single_shard() else {
+                        continue;
+                    };
+                    if registered.contains(name) {
                         continue;
                     }
                     // Single mode interleaves DDL with updates: flush
                     // what came before so relation ids intern in the
                     // original order.
-                    flush_pending(&backend, &mut pending)?;
-                    let Backend::Single(sess) = &backend else {
-                        unreachable!("single-mode register on sharded backend");
-                    };
-                    sess.register_with(name, src, decode_choice(*choice)?)?;
+                    flush_pending(&session, &mut pending)?;
+                    shard.register_with(name, src, decode_choice(*choice)?)?;
                     registered.insert(name.clone());
                     regs.push((name.clone(), src.clone(), *choice));
                 }
@@ -655,27 +603,19 @@ impl DurableSession {
         }
         // A still-open tx_buf is the uncommitted suffix of the crash —
         // dropped, exactly as it was never visible.
-        flush_pending(&backend, &mut pending)?;
-        backend.force_seq(last_seq)?;
+        flush_pending(&session, &mut pending)?;
+        session.force_seq(last_seq)?;
 
         let mut wal = Wal::new(dir, opts.wal(), scan.next_segment, scan.term)?;
         if let Some(r) = &opts.registry {
             wal.attach_registry(Arc::clone(r));
         }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend,
-            // The startup segment index is strictly increasing across
-            // lives (recovery always opens past every existing segment)
-            // — the lifetime half of the epoch. The term half survives
-            // restarts untouched: only promotion mints a higher term.
-            epoch: epoch::compose(scan.term, scan.next_segment),
-        })
+        // The startup segment index is strictly increasing across lives
+        // (recovery always opens past every existing segment) — the
+        // lifetime half of the epoch. The term half survives restarts
+        // untouched: only promotion mints a higher term.
+        let epoch = epoch::compose(scan.term, scan.next_segment);
+        Ok(DurableSession::assemble(wal, regs, session, epoch))
     }
 
     /// [`DurableSession::recover`] over a filesystem path.
@@ -689,7 +629,7 @@ impl DurableSession {
     /// Turns a replica's applied state into a fresh durable leader log —
     /// the promotion path behind [`crate::replica::ReplicaSession::promote`].
     ///
-    /// The backend (already at its applied seq) is checkpointed into a
+    /// The session (already at its applied seq) is checkpointed into a
     /// virgin `dir` via [`Wal::seed`], and the log opens at a leadership
     /// term strictly above the one observed from the old leader:
     /// `epoch = (term(observed) + 1, lifetime 1)`. Every epoch the old
@@ -699,96 +639,80 @@ impl DurableSession {
     pub(crate) fn promote_from(
         dir: Box<dyn WalDir>,
         opts: DurableOptions,
-        backend: Backend,
+        session: ShardedSession,
         regs: Vec<(String, String, u8)>,
         observed_epoch: u64,
     ) -> Result<DurableSession, DurableError> {
         ensure_virgin(&*dir)?;
-        let (seq, body) = snapshot_ckpt_body(&backend, &regs)?;
+        let (seq, body) = snapshot_ckpt_body(&session, &regs)?;
         let term = epoch::term(observed_epoch) + 1;
         let mut wal = Wal::seed(dir, opts.wal(), 1, term, seq, &body)?;
         if let Some(r) = &opts.registry {
             wal.attach_registry(Arc::clone(r));
-            // A single-writer backend can adopt the registry after the
-            // fact; a sharded one seals its metrics at build, so the
+            // A single-writer session can adopt the registry after the
+            // fact; a sealed one fixes its metrics at build, so the
             // replica must have carried the registry from bootstrap.
-            if let Backend::Single(s) = &backend {
+            if let Some(s) = session.single_shard() {
                 s.write(|s| s.share_registry(Arc::clone(r)))?;
             }
         }
-        Ok(DurableSession {
-            wal: Mutex::new(WalState {
-                wal,
-                regs,
-                sinks: Vec::new(),
-                next_sink: 1,
-            }),
-            backend,
-            epoch: epoch::compose(term, 1),
-        })
+        Ok(DurableSession::assemble(
+            wal,
+            regs,
+            session,
+            epoch::compose(term, 1),
+        ))
     }
 
-    /// Whether this session wraps a [`ShardedSession`].
+    /// Whether this session wraps a sealed multi-shard
+    /// [`ShardedSession`].
     pub fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded(_))
+        self.session.sealed()
     }
 
     /// The metrics registry this session was built with, if any. All
-    /// layers (WAL, backend, shards) record into this one registry, so
+    /// layers (WAL, session, shards) record into this one registry, so
     /// [`Registry::render`] here is the full picture.
     pub fn registry(&self) -> Option<Arc<Registry>> {
-        match &self.backend {
-            Backend::Single(s) => s.read(|s| s.registry().cloned()).ok().flatten(),
-            Backend::Sharded(s) => s.registry().cloned(),
-        }
+        self.session.session_registry()
     }
 
     /// The wrapped [`SharedSession`] (single-writer mode). Read from it
     /// freely (snapshots, readers, feeds, serving sources); never write
     /// through it — that bypasses the log.
     pub fn shared(&self) -> Option<&SharedSession> {
-        match &self.backend {
-            Backend::Single(s) => Some(s),
-            Backend::Sharded(_) => None,
-        }
+        self.session.single_shard()
     }
 
     /// The wrapped [`ShardedSession`] (sharded mode). Same contract as
     /// [`DurableSession::shared`]: reads only.
     pub fn sharded(&self) -> Option<&ShardedSession> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(s) => Some(s),
-        }
+        self.session.sealed().then_some(&self.session)
+    }
+
+    /// The session every read and commit goes through, in either mode.
+    pub(crate) fn session(&self) -> &ShardedSession {
+        &self.session
     }
 
     /// The global sequence counter.
     pub fn seq(&self) -> Result<u64, DurableError> {
-        Ok(self.backend.seq()?)
+        Ok(self.session.seq())
     }
 
     /// Resolves a relation by name.
     pub fn relation(&self, name: &str) -> Result<RelId, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.relation(name)?),
-            Backend::Sharded(s) => Ok(s.relation(name)?),
-        }
+        Ok(self.session.relation(name)?)
     }
 
     /// Pins a snapshot of `name`'s current result.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.snapshot(name)?),
-            Backend::Sharded(s) => Ok(s.snapshot(name)?),
-        }
+        Ok(self.session.snapshot(name)?)
     }
 
     /// O(1) count of `name`'s current result.
     pub fn count(&self, name: &str) -> Result<u64, DurableError> {
-        match &self.backend {
-            Backend::Single(s) => Ok(s.read(|s| s.query(name).map(|h| h.count()))??),
-            Backend::Sharded(s) => Ok(s.count(name)?),
-        }
+        Ok(self.session.count(name)?)
     }
 
     /// Registers a query (single-writer mode only — sharded sessions
@@ -807,12 +731,12 @@ impl DurableSession {
         choice: EngineChoice,
     ) -> Result<QueryId, DurableError> {
         let mut st = lock_wal(&self.wal)?;
-        let Backend::Single(sess) = &self.backend else {
+        let Some(shard) = self.session.single_shard() else {
             return Err(DurableError::Unsupported(
                 "sharded sessions register their queries at creation",
             ));
         };
-        let id = sess.register_with(name, src, choice)?;
+        let id = shard.register_with(name, src, choice)?;
         let byte = encode_choice(choice);
         let rec = Rec::Register {
             name: name.to_string(),
@@ -822,7 +746,7 @@ impl DurableSession {
         st.wal.append(&rec);
         st.wal.commit()?;
         st.wal.sync()?;
-        let head = sess.read(|s| s.seq())?;
+        let head = self.session.seq();
         ship(&mut st, head, std::slice::from_ref(&rec));
         st.regs.push((name.to_string(), src.to_string(), byte));
         Ok(id)
@@ -841,70 +765,37 @@ impl DurableSession {
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        match &self.backend {
-            Backend::Single(sess) => {
-                Ok(sess.write(|s| -> Result<UpdateReport, DurableError> {
-                    let effective = predict_effective(
-                        s.schema(),
-                        |rel, t| s.database().relation(rel).contains(t),
-                        updates,
-                    )?;
-                    if effective.is_empty() {
-                        return Ok(UpdateReport {
-                            total: updates.len(),
-                            applied: 0,
-                        });
-                    }
-                    let seq0 = s.seq();
-                    let recs = update_recs(seq0, &effective, |_| 0);
-                    for rec in &recs {
-                        st.wal.append(rec);
-                    }
-                    st.wal.commit()?;
-                    ship(st, seq0 + effective.len() as u64, &recs);
-                    let report = s.apply_batch_prevalidated(updates);
-                    debug_assert_eq!(report.applied, effective.len());
-                    debug_assert_eq!(s.seq(), seq0 + effective.len() as u64);
-                    Ok(report)
-                })??)
-            }
-            Backend::Sharded(sess) => {
-                let effective = sess.read_all(|guards| {
-                    predict_effective(
-                        sess.schema(),
-                        |rel, t| {
-                            let sid = sess.plan().shard_of_relation(rel).unwrap_or(0);
-                            guards[sid].database().relation(rel).contains(t)
-                        },
-                        updates,
-                    )
-                })??;
-                if effective.is_empty() {
-                    return Ok(UpdateReport {
-                        total: updates.len(),
-                        applied: 0,
-                    });
-                }
-                let seq0 = sess.seq();
-                let recs = update_recs(seq0, &effective, |rel| {
-                    sess.plan().shard_of_relation(rel).unwrap_or(0) as u16
-                });
-                for rec in &recs {
-                    st.wal.append(rec);
-                }
-                st.wal.commit()?;
-                ship(st, seq0 + effective.len() as u64, &recs);
-                // No reader can interleave observations here: the WAL
-                // lock serializes writers, and per-update seq stamps are
-                // never observable below event granularity — the log
-                // keeps submission order even when the sharded batch
-                // commits per-shard sub-batches.
-                let report = sess.apply_batch(updates)?;
-                debug_assert_eq!(report.applied, effective.len());
-                debug_assert_eq!(sess.seq(), seq0 + effective.len() as u64);
-                Ok(report)
-            }
+        let sess = &self.session;
+        let effective = sess.read_all(|guards| {
+            // Every shard session holds the full union schema.
+            predict_effective(
+                guards[0].schema(),
+                |rel, t| guards[sess.route(rel)].database().relation(rel).contains(t),
+                updates,
+            )
+        })??;
+        if effective.is_empty() {
+            return Ok(UpdateReport {
+                total: updates.len(),
+                applied: 0,
+            });
         }
+        let seq0 = sess.seq();
+        let recs = update_recs(seq0, &effective, |rel| sess.route(rel) as u16);
+        for rec in &recs {
+            st.wal.append(rec);
+        }
+        st.wal.commit()?;
+        ship(st, seq0 + effective.len() as u64, &recs);
+        // No reader can interleave observations here: the WAL lock
+        // serializes writers, and per-update seq stamps are never
+        // observable below event granularity — the log keeps submission
+        // order even when a multi-shard batch commits per-shard
+        // sub-batches.
+        let report = sess.apply_batch(updates)?;
+        debug_assert_eq!(report.applied, effective.len());
+        debug_assert_eq!(sess.seq(), seq0 + effective.len() as u64);
+        Ok(report)
     }
 
     /// Runs `f` inside a durable all-or-nothing transaction. On `Ok`,
@@ -928,129 +819,64 @@ impl DurableSession {
     ) -> Result<R, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        match &self.backend {
-            Backend::Single(sess) => Ok(sess.write(|s| -> Result<R, DurableError> {
-                let seq0 = s.seq();
-                let mut txn = s.transaction();
-                let mut dtx = DurableTransaction {
-                    inner: TxInner::Single(&mut txn),
-                    logged: Vec::new(),
-                };
-                let res = f(&mut dtx);
-                let logged = std::mem::take(&mut dtx.logged);
-                drop(dtx);
-                let n = logged.len() as u64;
-                match res {
-                    Ok(r) => {
-                        if n > 0 {
-                            let mut recs = Vec::with_capacity(logged.len() + 2);
-                            recs.push(Rec::TxBegin {
-                                first_seq: seq0 + 1,
-                            });
-                            recs.extend(update_recs(seq0, &logged, |_| 0));
-                            recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                            for rec in &recs {
-                                st.wal.append(rec);
-                            }
-                            if let Err(e) = st.wal.commit() {
-                                txn.rollback();
-                                let burn = Rec::SeqBurn { upto: seq0 + n };
-                                st.wal.append(&burn);
-                                if st.wal.commit().is_ok() {
-                                    ship(st, seq0 + n, std::slice::from_ref(&burn));
-                                }
-                                // The tx-commit failure wins: the caller
-                                // already has a log error to act on, and
-                                // a failed burn leaves the WAL poisoned
-                                // for the next commit to surface.
-                                return Err(e.into());
-                            }
-                            ship(st, seq0 + n, &recs);
+        let sess = &self.session;
+        let seq0 = sess.seq();
+        let mut burn: u64 = 0;
+        let res = sess.transaction_generic(|tx| -> Result<R, DurableError> {
+            let mut dtx = DurableTransaction {
+                inner: tx,
+                logged: Vec::new(),
+            };
+            let res = f(&mut dtx);
+            let logged = dtx.logged;
+            let n = logged.len() as u64;
+            match res {
+                Ok(r) => {
+                    if n > 0 {
+                        // Armed until the log lands: the driver rolls
+                        // back on error and the burn record is written
+                        // below.
+                        burn = n;
+                        let mut recs = Vec::with_capacity(logged.len() + 2);
+                        recs.push(Rec::TxBegin {
+                            first_seq: seq0 + 1,
+                        });
+                        recs.extend(update_recs(seq0, &logged, |rel| sess.route(rel) as u16));
+                        recs.push(Rec::TxCommit { last_seq: seq0 + n });
+                        for rec in &recs {
+                            st.wal.append(rec);
                         }
-                        txn.commit();
-                        Ok(r)
+                        st.wal.commit()?;
+                        burn = 0;
+                        ship(st, seq0 + n, &recs);
                     }
-                    Err(e) => {
-                        txn.rollback();
-                        if n > 0 {
-                            let burn = Rec::SeqBurn { upto: seq0 + n };
-                            st.wal.append(&burn);
-                            // A burn that fails to land is a real
-                            // durability fault — the on-disk counter no
-                            // longer covers the burned numbers, so a
-                            // recovery could reissue them to subscriber
-                            // cursors. Surface it instead of pretending
-                            // the rollback was clean.
-                            match st.wal.commit() {
-                                Ok(_) => ship(st, seq0 + n, std::slice::from_ref(&burn)),
-                                Err(we) => return Err(we.into()),
-                            }
-                        }
-                        Err(DurableError::Session(e))
-                    }
+                    Ok(r)
                 }
-            })??),
-            Backend::Sharded(sess) => {
-                let seq0 = sess.seq();
-                let mut burn: u64 = 0;
-                let plan_shard =
-                    |rel: RelId| -> u16 { sess.plan().shard_of_relation(rel).unwrap_or(0) as u16 };
-                let res = sess.transaction_generic(|tx| -> Result<R, DurableError> {
-                    let mut dtx = DurableTransaction {
-                        inner: TxInner::Sharded(tx),
-                        logged: Vec::new(),
+                Err(e) => {
+                    burn = n;
+                    Err(DurableError::Session(e))
+                }
+            }
+        });
+        if burn > 0 {
+            let rec = Rec::SeqBurn { upto: seq0 + burn };
+            st.wal.append(&rec);
+            match st.wal.commit() {
+                Ok(_) => ship(st, seq0 + burn, std::slice::from_ref(&rec)),
+                // A burn that fails to land is a real durability fault —
+                // the on-disk counter no longer covers the burned
+                // numbers, so a recovery could reissue them to
+                // subscriber cursors. Surface it, unless the log already
+                // failed: the original error is the better diagnostic.
+                Err(we) => {
+                    return match res {
+                        Err(DurableError::Wal(_)) => res,
+                        _ => Err(we.into()),
                     };
-                    let res = f(&mut dtx);
-                    let logged = std::mem::take(&mut dtx.logged);
-                    drop(dtx);
-                    let n = logged.len() as u64;
-                    match res {
-                        Ok(r) => {
-                            if n > 0 {
-                                // Armed until the log lands: the driver
-                                // rolls back on error and the burn
-                                // record is written below.
-                                burn = n;
-                                let mut recs = Vec::with_capacity(logged.len() + 2);
-                                recs.push(Rec::TxBegin {
-                                    first_seq: seq0 + 1,
-                                });
-                                recs.extend(update_recs(seq0, &logged, plan_shard));
-                                recs.push(Rec::TxCommit { last_seq: seq0 + n });
-                                for rec in &recs {
-                                    st.wal.append(rec);
-                                }
-                                st.wal.commit()?;
-                                burn = 0;
-                                ship(st, seq0 + n, &recs);
-                            }
-                            Ok(r)
-                        }
-                        Err(e) => {
-                            burn = n;
-                            Err(DurableError::Session(e))
-                        }
-                    }
-                });
-                if burn > 0 {
-                    let rec = Rec::SeqBurn { upto: seq0 + burn };
-                    st.wal.append(&rec);
-                    match st.wal.commit() {
-                        Ok(_) => ship(st, seq0 + burn, std::slice::from_ref(&rec)),
-                        // Surface the failed burn — unless the log
-                        // already failed, in which case the original
-                        // error is the better diagnostic.
-                        Err(we) => {
-                            return match res {
-                                Err(DurableError::Wal(_)) => res,
-                                _ => Err(we.into()),
-                            };
-                        }
-                    }
                 }
-                res
             }
         }
+        res
     }
 
     /// Serializes the full database state at the current seq, publishes
@@ -1060,7 +886,7 @@ impl DurableSession {
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
         let mut st = lock_wal(&self.wal)?;
         let st = &mut *st;
-        let (seq, body) = snapshot_ckpt_body(&self.backend, &st.regs)?;
+        let (seq, body) = snapshot_ckpt_body(&self.session, &st.regs)?;
         st.wal.checkpoint(seq, &body)?;
         Ok(seq)
     }
@@ -1094,7 +920,7 @@ impl DurableSession {
         let shipped = st.wal.ship_scan()?;
         // Stable under the WAL lock: every durable writer serializes
         // through it, and seqs only move inside a commit.
-        let head_seq = self.backend.seq()?;
+        let head_seq = self.session.seq();
         let id = st.next_sink;
         st.next_sink += 1;
         st.sinks.push((id, queue));
@@ -1116,34 +942,21 @@ impl DurableSession {
     }
 }
 
-/// Serializes the backend's full state at its current seq into a
+/// Serializes the session's full state at its current seq into a
 /// checkpoint body — shared by [`DurableSession::checkpoint`] and the
 /// promotion seeding path. The caller must hold whatever lock makes the
 /// seq stable (the WAL lock for a live leader; a stopped follower for
 /// promotion).
 pub(crate) fn snapshot_ckpt_body(
-    backend: &Backend,
+    session: &ShardedSession,
     regs: &[(String, String, u8)],
 ) -> Result<(u64, Vec<u8>), DurableError> {
-    Ok(match backend {
-        Backend::Single(sess) => sess.read(|s| {
-            (
-                s.seq(),
-                encode_ckpt_body(false, regs, s.schema(), |rel| {
-                    s.database().relation(rel).sorted()
-                }),
-            )
-        })?,
-        Backend::Sharded(sess) => sess.read_all(|guards| {
-            (
-                sess.seq(),
-                encode_ckpt_body(true, regs, sess.schema(), |rel| {
-                    let sid = sess.plan().shard_of_relation(rel).unwrap_or(0);
-                    guards[sid].database().relation(rel).sorted()
-                }),
-            )
-        })?,
-    })
+    Ok(session.read_all(|guards| {
+        let body = encode_ckpt_body(session.sealed(), regs, guards[0].schema(), |rel| {
+            guards[session.route(rel)].database().relation(rel).sorted()
+        });
+        (session.seq(), body)
+    })?)
 }
 
 fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
@@ -1159,14 +972,15 @@ fn ensure_virgin(dir: &dyn WalDir) -> Result<(), DurableError> {
     Ok(())
 }
 
-/// Builds a fresh backend from a registration list — shared by recovery
-/// and by replica bootstrap, which both must reproduce relation ids by
-/// re-registering in the original order.
-pub(crate) fn build_backend(
+/// Builds a fresh session from a registration list — shared by creation,
+/// recovery and replica bootstrap, which must reproduce relation ids by
+/// re-registering in the original order. Sharded mode seals the list
+/// into a shard plan; single-writer mode opens the one-shard form.
+pub(crate) fn build_session(
     sharded: bool,
     regs: &[(String, String, u8)],
     registry: Option<&Arc<Registry>>,
-) -> Result<Backend, DurableError> {
+) -> Result<ShardedSession, DurableError> {
     if sharded {
         let mut builder = ShardedSessionBuilder::new();
         for (name, src, choice) in regs {
@@ -1175,7 +989,7 @@ pub(crate) fn build_backend(
         if let Some(r) = registry {
             builder.share_registry(Arc::clone(r));
         }
-        Ok(Backend::Sharded(builder.build()?))
+        Ok(builder.build()?)
     } else {
         let mut session = Session::new();
         if let Some(r) = registry {
@@ -1184,14 +998,17 @@ pub(crate) fn build_backend(
         for (name, src, choice) in regs {
             session.register_with(name, src, decode_choice(*choice)?)?;
         }
-        Ok(Backend::Single(SharedSession::new(session)))
+        Ok(ShardedSession::single(SharedSession::new(session))?)
     }
 }
 
 /// Loads a decoded checkpoint body's tuples into a freshly built
-/// backend, batched per relation, with schema/arity cross-checks.
-pub(crate) fn load_ckpt_tuples(backend: &Backend, body: &CkptBody) -> Result<(), DurableError> {
-    let schema = backend.schema()?;
+/// session, batched per relation, with schema/arity cross-checks.
+pub(crate) fn load_ckpt_tuples(
+    session: &ShardedSession,
+    body: &CkptBody,
+) -> Result<(), DurableError> {
+    let schema = session.read_all(|guards| guards[0].schema().clone())?;
     if body.rels.len() != schema.len() {
         return Err(DurableError::Recovery(format!(
             "checkpoint has {} relations, schema has {}",
@@ -1211,40 +1028,35 @@ pub(crate) fn load_ckpt_tuples(backend: &Backend, body: &CkptBody) -> Result<(),
                 .iter()
                 .map(|t| Update::Insert(rel, t.clone()))
                 .collect();
-            replay_batch(backend, &batch)?;
+            replay_batch(session, &batch)?;
         }
     }
     Ok(())
 }
 
-pub(crate) fn replay_batch(backend: &Backend, batch: &[Update]) -> Result<(), DurableError> {
-    backend
+pub(crate) fn replay_batch(session: &ShardedSession, batch: &[Update]) -> Result<(), DurableError> {
+    session
         .apply_batch(batch)
         .map_err(|e| DurableError::Recovery(format!("log replay failed: {e}")))?;
     Ok(())
 }
 
 pub(crate) fn flush_pending(
-    backend: &Backend,
+    session: &ShardedSession,
     pending: &mut Vec<Update>,
 ) -> Result<(), DurableError> {
     for chunk in pending.chunks(REPLAY_CHUNK) {
-        replay_batch(backend, chunk)?;
+        replay_batch(session, chunk)?;
     }
     pending.clear();
     Ok(())
 }
 
-enum TxInner<'a, 'b> {
-    Single(&'b mut SessionTransaction<'a>),
-    Sharded(&'b mut ShardedTransaction<'a>),
-}
-
 /// The handle a durable transaction closure writes through: forwards to
-/// the backend transaction and records each effective update so the
+/// the session transaction and records each effective update so the
 /// commit hook can frame and log them.
 pub struct DurableTransaction<'a, 'b> {
-    inner: TxInner<'a, 'b>,
+    inner: &'b mut ShardedTransaction<'a>,
     logged: Vec<Update>,
 }
 
@@ -1252,10 +1064,7 @@ impl DurableTransaction<'_, '_> {
     /// Validates and applies one update inside the transaction; returns
     /// `true` iff it was effective. Errors leave the transaction open.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        let changed = match &mut self.inner {
-            TxInner::Single(t) => t.apply(update)?,
-            TxInner::Sharded(t) => t.apply(update)?,
-        };
+        let changed = self.inner.apply(update)?;
         if changed {
             self.logged.push(update.clone());
         }

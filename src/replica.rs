@@ -30,7 +30,7 @@
 //!
 //! A fresh follower (or one whose cursor fell behind the leader's
 //! checkpoint floor) is **bootstrapped**: the leader streams its newest
-//! checkpoint body in bounded chunks, the replica rebuilds a backend
+//! checkpoint body in bounded chunks, the replica rebuilds a session
 //! from it (same code path as crash recovery), and the record tail
 //! follows. A follower that disconnects briefly **resumes**: it offers
 //! its `(epoch, cursor)` and receives only records past the cursor.
@@ -39,7 +39,7 @@
 //! older epoch is never resumed, only re-bootstrapped.
 //!
 //! The in-memory apply machinery is identical to recovery's: updates
-//! replay through the same backend, so a replica's engine states,
+//! replay through the same session type, so a replica's engine states,
 //! relation ids, and subscriber seq stamps match the leader's exactly.
 //!
 //! ## Failover
@@ -57,8 +57,8 @@
 //! permanent stale-epoch deny (surfaced via [`FollowerStats::fenced`]).
 
 use crate::durable::{
-    build_backend, decode_choice, decode_ckpt_body, load_ckpt_tuples, Backend, DurableError,
-    DurableOptions, DurableSession, REPLAY_CHUNK,
+    build_session, decode_choice, decode_ckpt_body, load_ckpt_tuples, DurableError, DurableOptions,
+    DurableSession, REPLAY_CHUNK,
 };
 use crate::error::CqError;
 use crate::session::{
@@ -94,7 +94,7 @@ pub struct ReplicaOptions {
     /// so cursor replay ([`ReplicaSession::replay_since`]) and the
     /// serving front end work on the replica. `0` disables retention.
     pub ring_cap: usize,
-    /// Metrics registry shared into every backend this replica builds
+    /// Metrics registry shared into every session this replica builds
     /// (bootstrap and re-bootstrap alike). `None` leaves the replica
     /// uninstrumented.
     pub registry: Option<Arc<cqu_obs::Registry>>,
@@ -113,9 +113,9 @@ impl Default for ReplicaOptions {
 /// State shared between the applier (follower thread) and reader
 /// handles.
 struct ReplicaShared {
-    /// The live backend — `None` until the first bootstrap completes;
+    /// The live session — `None` until the first bootstrap completes;
     /// swapped wholesale on re-bootstrap.
-    backend: RwLock<Option<Backend>>,
+    session: RwLock<Option<ShardedSession>>,
     /// The applied watermark, guarded for [`ReplicaSession::wait_for_seq`].
     applied: Mutex<u64>,
     bumped: Condvar,
@@ -129,8 +129,8 @@ struct ReplicaShared {
 }
 
 impl ReplicaShared {
-    fn backend(&self) -> Option<Backend> {
-        self.backend
+    fn session(&self) -> Option<ShardedSession> {
+        self.session
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
@@ -144,21 +144,21 @@ struct TxGroup {
 }
 
 /// The [`cqu_repl::ReplicaApply`] implementation: drives the same
-/// backend machinery as crash recovery, from a socket instead of a
+/// session machinery as crash recovery, from a socket instead of a
 /// directory scan.
 struct SessionApplier {
     shared: Arc<ReplicaShared>,
     ring_cap: usize,
-    /// Registry shared into every backend built here.
+    /// Registry shared into every session built here.
     registry: Option<Arc<cqu_obs::Registry>>,
     sharded: bool,
     /// Registrations in arrival order (name, src, encoded choice).
     regs: Vec<(String, String, u8)>,
     registered: HashSet<String>,
-    /// Local handle to the published backend (`None` while a sharded
+    /// Local handle to the published session (`None` while a sharded
     /// bootstrap waits for its `Register` records — the sealed plan
     /// needs the full query set before it can build).
-    backend: Option<Backend>,
+    session: Option<ShardedSession>,
     /// Buffered plain updates `(seq, update)` awaiting a flush.
     pending: Vec<(u64, Update)>,
     /// An open `TxBegin … TxCommit` group (may span record frames).
@@ -175,54 +175,30 @@ impl SessionApplier {
         *lock(&self.shared.regs) = self.regs.clone();
     }
 
-    fn install(&mut self, backend: Backend) -> Result<(), String> {
-        self.enable_retention(&backend)?;
+    fn install(&mut self, session: ShardedSession) -> Result<(), String> {
+        if self.ring_cap > 0 {
+            session.retain_all_deltas(self.ring_cap).map_err(err_str)?;
+        }
         *self
             .shared
-            .backend
+            .session
             .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(backend.clone());
-        self.backend = Some(backend);
+            .unwrap_or_else(PoisonError::into_inner) = Some(session.clone());
+        self.session = Some(session);
         Ok(())
     }
 
-    fn enable_retention(&self, backend: &Backend) -> Result<(), String> {
-        if self.ring_cap == 0 {
-            return Ok(());
+    /// Builds the deferred sharded session once its registrations are
+    /// all in hand, and returns the live session.
+    fn ensure_session(&mut self) -> Result<ShardedSession, String> {
+        if let Some(session) = &self.session {
+            return Ok(session.clone());
         }
-        match backend {
-            Backend::Single(s) => s
-                .read(|s| {
-                    for h in s.queries() {
-                        h.retain_deltas(self.ring_cap);
-                    }
-                })
-                .map_err(err_str),
-            Backend::Sharded(s) => {
-                let names: Vec<String> = s
-                    .plan()
-                    .shards()
-                    .iter()
-                    .flat_map(|sh| sh.queries().iter().cloned())
-                    .collect();
-                for name in names {
-                    s.retain_deltas(&name, self.ring_cap).map_err(err_str)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Builds the deferred sharded backend once its registrations are
-    /// all in hand.
-    fn ensure_backend(&mut self) -> Result<(), String> {
-        if self.backend.is_some() {
-            return Ok(());
-        }
-        let backend =
-            build_backend(self.sharded, &self.regs, self.registry.as_ref()).map_err(err_str)?;
-        backend.force_seq(self.cursor).map_err(err_str)?;
-        self.install(backend)
+        let session =
+            build_session(self.sharded, &self.regs, self.registry.as_ref()).map_err(err_str)?;
+        session.force_seq(self.cursor).map_err(err_str)?;
+        self.install(session.clone())?;
+        Ok(session)
     }
 
     fn publish_applied(&self) {
@@ -242,25 +218,25 @@ impl SessionApplier {
         if self.pending.is_empty() {
             return Ok(());
         }
-        self.ensure_backend()?;
-        let backend = self.backend.as_ref().expect("ensured").clone();
+        let session = self.ensure_session()?;
         let pending = std::mem::take(&mut self.pending);
         let mut i = 0;
         while i < pending.len() {
             let mut j = i + 1;
-            while j < pending.len() && pending[j].0 == pending[j - 1].0 + 1 {
+            while j < pending.len() && pending[j - 1].0.checked_add(1) == Some(pending[j].0) {
                 j += 1;
             }
             let last = pending[j - 1].0;
-            backend.force_seq(pending[i].0 - 1).map_err(err_str)?;
+            // Buffered seqs lie above the cursor, so never below 1.
+            session.force_seq(pending[i].0 - 1).map_err(err_str)?;
             let run: Vec<Update> = pending[i..j].iter().map(|(_, u)| u.clone()).collect();
             for chunk in run.chunks(REPLAY_CHUNK) {
-                backend.apply_batch(chunk).map_err(err_str)?;
+                session.apply_batch(chunk).map_err(err_str)?;
             }
-            let now = backend.seq().map_err(err_str)?;
+            let now = session.seq();
             if now != last {
                 return Err(format!(
-                    "replica diverged: expected seq {last} after run, backend at {now}"
+                    "replica diverged: expected seq {last} after run, session at {now}"
                 ));
             }
             self.cursor = self.cursor.max(last);
@@ -283,27 +259,22 @@ impl SessionApplier {
                     }
                     self.flush()?;
                     if self.sharded {
-                        if self.backend.is_some() {
+                        if self.session.is_some() {
                             return Err("late registration on a sealed sharded replica".into());
                         }
-                        self.regs.push((name.clone(), src.clone(), *choice));
                     } else {
-                        self.ensure_backend()?;
-                        let Some(Backend::Single(sess)) = &self.backend else {
-                            unreachable!("single-mode register on sharded backend");
-                        };
-                        sess.register_with(name, src, decode_choice(*choice).map_err(err_str)?)
+                        let session = self.ensure_session()?;
+                        let shard = session
+                            .single_shard()
+                            .expect("a single-writer replica runs the open one-shard form");
+                        shard
+                            .register_with(name, src, decode_choice(*choice).map_err(err_str)?)
                             .map_err(err_str)?;
                         if self.ring_cap > 0 {
-                            sess.read(|s| {
-                                if let Ok(h) = s.query(name) {
-                                    h.retain_deltas(self.ring_cap);
-                                }
-                            })
-                            .map_err(err_str)?;
+                            shard.retain_deltas(name, self.ring_cap).map_err(err_str)?;
                         }
-                        self.regs.push((name.clone(), src.clone(), *choice));
                     }
+                    self.regs.push((name.clone(), src.clone(), *choice));
                     self.registered.insert(name.clone());
                     self.sync_regs();
                 }
@@ -348,15 +319,37 @@ impl SessionApplier {
                     if *last_seq <= self.cursor {
                         continue; // already applied before a resume
                     }
+                    // A group opens past the cursor and numbers exactly
+                    // its updates; any other framing is a corrupt or
+                    // diverged stream (and `first_seq - 1` below would
+                    // underflow on a group claiming seq 0).
+                    let span = last_seq
+                        .checked_sub(g.first_seq)
+                        .and_then(|d| d.checked_add(1));
+                    if g.first_seq <= self.cursor || span != Some(g.updates.len() as u64) {
+                        return Err(format!(
+                            "replica diverged: transaction framed seqs {}..={last_seq} over {} \
+                             updates past cursor {}",
+                            g.first_seq,
+                            g.updates.len(),
+                            self.cursor
+                        ));
+                    }
                     self.flush()?;
-                    self.ensure_backend()?;
-                    let backend = self.backend.as_ref().expect("ensured");
-                    backend.force_seq(g.first_seq - 1).map_err(err_str)?;
-                    backend.apply_tx(&g.updates).map_err(err_str)?;
-                    let now = backend.seq().map_err(err_str)?;
+                    let session = self.ensure_session()?;
+                    session.force_seq(g.first_seq - 1).map_err(err_str)?;
+                    session
+                        .transaction(|t| {
+                            for u in &g.updates {
+                                t.apply(u)?;
+                            }
+                            Ok(())
+                        })
+                        .map_err(err_str)?;
+                    let now = session.seq();
                     if now != *last_seq {
                         return Err(format!(
-                            "replica diverged: transaction expected seq {last_seq}, backend at {now}"
+                            "replica diverged: transaction expected seq {last_seq}, session at {now}"
                         ));
                     }
                     self.cursor = *last_seq;
@@ -367,9 +360,7 @@ impl SessionApplier {
                     }
                     if *upto > self.cursor {
                         self.flush()?;
-                        self.ensure_backend()?;
-                        let backend = self.backend.as_ref().expect("ensured");
-                        backend.force_seq(*upto).map_err(err_str)?;
+                        self.ensure_session()?.force_seq(*upto).map_err(err_str)?;
                         self.cursor = *upto;
                     }
                 }
@@ -388,10 +379,10 @@ impl cqu_repl::ReplicaApply for SessionApplier {
         self.sharded = sharded;
         self.regs.clear();
         self.registered.clear();
-        self.backend = None;
+        self.session = None;
         *self
             .shared
-            .backend
+            .session
             .write()
             .unwrap_or_else(PoisonError::into_inner) = None;
         self.cursor = 0;
@@ -401,29 +392,27 @@ impl cqu_repl::ReplicaApply for SessionApplier {
                 if body.sharded != sharded {
                     return Err("checkpoint mode disagrees with handshake".into());
                 }
-                let backend =
-                    build_backend(sharded, &body.regs, self.registry.as_ref()).map_err(err_str)?;
-                load_ckpt_tuples(&backend, &body).map_err(err_str)?;
-                backend.force_seq(seq).map_err(err_str)?;
+                let session =
+                    build_session(sharded, &body.regs, self.registry.as_ref()).map_err(err_str)?;
+                load_ckpt_tuples(&session, &body).map_err(err_str)?;
+                session.force_seq(seq).map_err(err_str)?;
                 self.registered = body.regs.iter().map(|(n, _, _)| n.clone()).collect();
                 self.regs = body.regs;
                 self.cursor = seq;
-                self.install(backend)?;
+                self.install(session)?;
             }
             None => {
                 // No checkpoint: the leader ships its log from seq 0. A
-                // single-writer backend can build empty right away; a
+                // single-writer session can build empty right away; a
                 // sharded one must wait for its Register records.
                 if !sharded {
-                    let backend =
-                        build_backend(false, &[], self.registry.as_ref()).map_err(err_str)?;
-                    self.install(backend)?;
+                    self.ensure_session()?;
                 }
             }
         }
         self.sync_regs();
         // The watermark restarts with the state; readers of the old
-        // backend keep their pins, new reads see the bootstrap.
+        // session keep their pins, new reads see the bootstrap.
         *lock(&self.shared.applied) = self.cursor;
         self.shared.bumped.notify_all();
         Ok(())
@@ -458,8 +447,8 @@ impl cqu_repl::ReplicaApply for SessionApplier {
         // Heartbeats only flow once catch-up is fully written, so a
         // deferred sharded build can safely seal here.
         self.flush()?;
-        if self.backend.is_none() && !self.regs.is_empty() {
-            self.ensure_backend()?;
+        if self.session.is_none() && !self.regs.is_empty() {
+            self.ensure_session()?;
         }
         self.publish_applied();
         Ok(self.cursor)
@@ -497,7 +486,7 @@ impl ReplicaSession {
     /// [`ReplicaSession::applied_seq`]) to observe sync progress.
     pub fn connect(addr: SocketAddr, options: ReplicaOptions) -> io::Result<ReplicaSession> {
         let shared = Arc::new(ReplicaShared {
-            backend: RwLock::new(None),
+            session: RwLock::new(None),
             applied: Mutex::new(0),
             bumped: Condvar::new(),
             epoch: AtomicU64::new(0),
@@ -510,7 +499,7 @@ impl ReplicaSession {
             sharded: false,
             regs: Vec::new(),
             registered: HashSet::new(),
-            backend: None,
+            session: None,
             pending: Vec::new(),
             tx: None,
             cursor: 0,
@@ -624,7 +613,7 @@ impl ReplicaSession {
         if self.promoted.swap(true, Ordering::SeqCst) {
             return Err(DurableError::Unsupported("replica already promoted"));
         }
-        // Joining the network thread quiesces the applier: the backend
+        // Joining the network thread quiesces the applier: the session
         // rests exactly at the applied watermark, with no in-flight
         // batches.
         lock(&self.follower).stop();
@@ -635,11 +624,11 @@ impl ReplicaSession {
                     "replica never synced (or diverged) — no epoch to fence against".into(),
                 ));
             }
-            let backend = self.shared.backend().ok_or_else(|| {
+            let session = self.shared.session().ok_or_else(|| {
                 DurableError::Recovery("replica not yet bootstrapped — nothing to promote".into())
             })?;
             let regs = lock(&self.shared.regs).clone();
-            DurableSession::promote_from(dir, options, backend, regs, epoch)
+            DurableSession::promote_from(dir, options, session, regs, epoch)
         })();
         match &result {
             Ok(promoted) => {
@@ -660,90 +649,65 @@ impl ReplicaSession {
         result
     }
 
-    fn backend(&self) -> Result<Backend, CqError> {
+    /// The live session (available once bootstrapped) — the one every
+    /// read below goes through.
+    pub(crate) fn session(&self) -> Result<ShardedSession, CqError> {
         self.shared
-            .backend()
+            .session()
             .ok_or_else(|| CqError::UnknownQuery("replica not yet bootstrapped".into()))
     }
 
     /// Resolves a relation by name (available once bootstrapped).
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.relation(name),
-            Backend::Sharded(s) => s.relation(name),
-        }
+        self.session()?.relation(name)
     }
 
     /// Pins a snapshot of `name`'s result at the replica's watermark.
     pub fn snapshot(&self, name: &str) -> Result<QuerySnapshot, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.snapshot(name),
-            Backend::Sharded(s) => s.snapshot(name),
-        }
+        self.session()?.snapshot(name)
     }
 
     /// O(1) count of `name`'s result at the watermark.
     pub fn count(&self, name: &str) -> Result<u64, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.count(name),
-            Backend::Sharded(s) => s.count(name),
-        }
+        self.session()?.count(name)
     }
 
     /// A lock-free [`PinReader`] over `name` — constant-delay
     /// enumeration against a pinned epoch, never blocked by the apply
     /// stream.
     pub fn reader(&self, name: &str) -> Result<PinReader, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.reader(name),
-            Backend::Sharded(s) => s.reader(name),
-        }
+        self.session()?.reader(name)
     }
 
     /// Subscribes to `name`'s result deltas as the replica applies the
     /// leader's commits. Seq stamps match the leader's timeline.
     pub fn subscribe(&self, name: &str) -> Result<Subscription, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.subscribe(name),
-            Backend::Sharded(s) => s.subscribe(name),
-        }
+        self.session()?.subscribe(name)
     }
 
     /// Resumes a subscription from a seq cursor, netting missed deltas
     /// from the retention ring where possible.
     pub fn subscribe_from(&self, name: &str, from_seq: u64) -> Result<Resume, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.subscribe_from(name, from_seq),
-            Backend::Sharded(s) => s.subscribe_from(name, from_seq),
-        }
+        self.session()?.subscribe_from(name, from_seq)
     }
 
     /// Nets the retained deltas of `name` since `from_seq` (the replay
     /// half of [`ReplicaSession::subscribe_from`]).
     pub fn replay_since(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, CqError> {
-        match self.backend()? {
-            Backend::Single(s) => s.read(|s| s.query(name).map(|h| h.replay_since(from_seq)))?,
-            Backend::Sharded(s) => s.replay_since(name, from_seq),
-        }
+        self.session()?.replay_since(name, from_seq)
     }
 
     /// The replica's [`SharedSession`] handle (single-writer leaders).
     /// Read from it freely; never write through it — replicas are
     /// read-only by construction.
     pub fn shared(&self) -> Option<SharedSession> {
-        match self.shared.backend()? {
-            Backend::Single(s) => Some(s),
-            Backend::Sharded(_) => None,
-        }
+        self.shared.session()?.single_shard().cloned()
     }
 
     /// The replica's [`ShardedSession`] handle (sharded leaders). Same
     /// contract as [`ReplicaSession::shared`]: reads only.
     pub fn sharded(&self) -> Option<ShardedSession> {
-        match self.shared.backend()? {
-            Backend::Single(_) => None,
-            Backend::Sharded(s) => Some(s),
-        }
+        self.shared.session().filter(ShardedSession::sealed)
     }
 }
 
@@ -846,5 +810,91 @@ impl ReplicationServer {
 impl std::fmt::Debug for ReplicationServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.inner.fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cqu_repl::ReplicaApply;
+
+    fn applier() -> SessionApplier {
+        SessionApplier {
+            shared: Arc::new(ReplicaShared {
+                session: RwLock::new(None),
+                applied: Mutex::new(0),
+                bumped: Condvar::new(),
+                epoch: AtomicU64::new(0),
+                regs: Mutex::new(Vec::new()),
+            }),
+            ring_cap: 0,
+            registry: None,
+            sharded: false,
+            regs: Vec::new(),
+            registered: HashSet::new(),
+            session: None,
+            pending: Vec::new(),
+            tx: None,
+            cursor: 0,
+            epoch: 0,
+        }
+    }
+
+    fn insert(seq: u64, x: u64) -> Rec {
+        Rec::Update {
+            seq,
+            shard: 0,
+            insert: true,
+            rel: 0,
+            tuple: vec![x],
+        }
+    }
+
+    #[test]
+    fn misframed_transactions_force_a_rebootstrap_instead_of_panicking() {
+        let register = Rec::Register {
+            name: "q".into(),
+            src: "Q(x) :- R(x).".into(),
+            choice: 0,
+        };
+        let mut a = applier();
+        a.reset(false, None).unwrap();
+        a.set_epoch(7);
+        assert_eq!(
+            a.apply_records(&[register.clone(), insert(1, 1)]).unwrap(),
+            1
+        );
+        // A group claiming seq 0, committed above the cursor, would
+        // underflow `first_seq - 1`.
+        let zero = [
+            Rec::TxBegin { first_seq: 0 },
+            insert(2, 2),
+            Rec::TxCommit { last_seq: 2 },
+        ];
+        assert!(a.apply_records(&zero).is_err());
+        assert_eq!(a.epoch(), 0, "divergence poisons the epoch");
+        assert_eq!(a.cursor(), 1);
+        let zero_to_max = [
+            Rec::TxBegin { first_seq: 0 },
+            insert(2, 2),
+            Rec::TxCommit { last_seq: u64::MAX },
+        ];
+        assert!(a.apply_records(&zero_to_max).is_err());
+        assert_eq!(a.cursor(), 1);
+        // A group numbering fewer seqs than it holds updates: applying
+        // it would draw past `u64::MAX`.
+        let mut a = applier();
+        a.reset(false, None).unwrap();
+        let short = [
+            register,
+            Rec::TxBegin {
+                first_seq: u64::MAX,
+            },
+            insert(0, 1),
+            insert(0, 2),
+            Rec::TxCommit { last_seq: u64::MAX },
+        ];
+        assert!(a.apply_records(&short).is_err());
+        assert_eq!(a.cursor(), 0);
     }
 }

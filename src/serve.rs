@@ -1,23 +1,22 @@
-//! Glue between the engine and the network: [`FeedSource`]
-//! implementations over [`SharedSession`] and
-//! [`ShardedSession`](crate::shard::ShardedSession), plus a convenience
-//! launcher.
+//! Glue between the engine and the network: one [`FeedSource`] over
+//! any [`ShardedSession`], its two public forms, a replica source and a
+//! convenience launcher.
 //!
 //! The serving stack is layered so `cqu-serve` stays engine-agnostic:
 //! the server runtime talks to a [`FeedSource`] of wire-level rows
 //! (`Vec<u64>` — type-identical to the engine's `Tuple`, so conversion
 //! is a clone, never a re-encoding), and this module adapts the session
-//! layer to that contract:
+//! layer to that contract. [`Served`] is the one adapter: snapshots pin
+//! epochs, feeds subscribe, and replay nets the per-query retention
+//! ring ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
+//! is enabled on every query). It comes in two forms that differ only
+//! in registration:
 //!
-//! * [`SessionSource`] — serves a [`SharedSession`]: snapshots pin
-//!   epochs, feeds subscribe, replay nets the per-query retention ring
-//!   ([`QueryHandle::retain_deltas`](crate::session::QueryHandle::retain_deltas)
-//!   is enabled on every query), and clients may even register new
-//!   queries remotely.
-//! * [`ShardedSource`] — serves a
-//!   [`ShardedSession`](crate::shard::ShardedSession): identical
-//!   semantics on the *global* seq timeline; registration is rejected
-//!   (the shard plan is sealed at build time).
+//! * [`SessionSource`] serves a [`SharedSession`] through the open
+//!   one-shard form, so clients may register new queries remotely.
+//! * [`ShardedSource`] serves a sealed [`ShardedSession`] on the
+//!   *global* seq timeline; registration is rejected (the shard plan
+//!   is sealed at build time).
 //!
 //! ```no_run
 //! use cq_updates::prelude::*;
@@ -47,13 +46,6 @@ fn source_err(e: CqError) -> SourceError {
     match e {
         CqError::UnknownQuery(name) => SourceError::UnknownQuery(name),
         CqError::DuplicateQuery(name) => SourceError::Invalid(format!("duplicate query {name:?}")),
-        other => SourceError::Invalid(other.to_string()),
-    }
-}
-
-fn durable_err(e: crate::durable::DurableError) -> SourceError {
-    match e {
-        crate::durable::DurableError::Session(e) => source_err(e),
         other => SourceError::Invalid(other.to_string()),
     }
 }
@@ -95,99 +87,70 @@ impl FeedStream for SubscriptionFeed {
     }
 }
 
-/// Serves a [`SharedSession`] (see the module docs). Construction turns
-/// on delta retention (`ring_cap` events per query) for every already
-/// registered query; queries registered later — locally or by a remote
-/// `Register` frame — get it on their way in.
-pub struct SessionSource {
-    session: SharedSession,
+/// The serving adapter behind [`SessionSource`] and [`ShardedSource`]:
+/// one [`FeedSource`] over a [`ShardedSession`], holding the caller's
+/// handle `H` for [`Served::session`]. Delta retention (`ring_cap`
+/// events per query) is on for every query, including any registered
+/// later — locally or by a remote `Register` frame, which only the open
+/// one-shard form behind a [`SessionSource`] accepts.
+pub struct Served<H> {
+    handle: H,
+    session: ShardedSession,
     ring_cap: usize,
+    /// The sealed query set ([`ShardedSource::names`]); empty on the
+    /// open form.
+    names: Vec<String>,
+}
+
+/// Serves a [`SharedSession`]: snapshots pin epochs, feeds subscribe,
+/// replay nets the retention rings, and clients may register new
+/// queries remotely.
+pub type SessionSource = Served<SharedSession>;
+
+/// Serves a [`ShardedSession`]: per-query feeds, snapshots, and replay
+/// all work on the shared **global** timeline, so a client cannot tell
+/// a sharded deployment from a single-writer one. Remote registration
+/// is rejected — the shard plan is sealed at build time.
+pub type ShardedSource = Served<Arc<ShardedSession>>;
+
+impl<H> Served<H> {
+    fn wrap(handle: H, session: ShardedSession, ring_cap: usize) -> Result<Served<H>, CqError> {
+        session.retain_all_deltas(ring_cap)?;
+        let names = session
+            .plan()
+            .shards()
+            .iter()
+            .flat_map(|s| s.queries().iter().cloned())
+            .collect();
+        Ok(Served {
+            handle,
+            session,
+            ring_cap,
+            names,
+        })
+    }
+
+    /// The wrapped session handle.
+    pub fn session(&self) -> &H {
+        &self.handle
+    }
 }
 
 impl SessionSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each of its queries.
     pub fn new(session: SharedSession, ring_cap: usize) -> Result<SessionSource, CqError> {
-        session.read(|s| {
-            for handle in s.queries() {
-                handle.retain_deltas(ring_cap);
-            }
-        })?;
-        Ok(SessionSource { session, ring_cap })
+        let core = ShardedSession::single(session.clone())?;
+        Served::wrap(session, core, ring_cap)
     }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &SharedSession {
-        &self.session
-    }
-}
-
-impl FeedSource for SessionSource {
-    fn seq(&self) -> u64 {
-        self.session.read(|s| s.seq()).unwrap_or(0)
-    }
-
-    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
-        self.session.register(name, src).map_err(source_err)?;
-        self.session
-            .read(|s| {
-                let handle = s.query(name).expect("just registered");
-                handle.retain_deltas(self.ring_cap);
-                s.seq()
-            })
-            .map_err(source_err)
-    }
-
-    fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.session.snapshot(name).map_err(source_err)?;
-        Ok((snap.seq(), snap.results_sorted()))
-    }
-
-    fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        self.session
-            .read(|s| s.query(name).map(|h| to_replay(h.replay_since(from_seq))))
-            .map_err(source_err)?
-            .map_err(source_err)
-    }
-
-    fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = self.session.subscribe(name).map_err(source_err)?;
-        Ok(Box::new(SubscriptionFeed(sub)))
-    }
-
-    fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        self.session.read(|s| s.registry().cloned()).ok().flatten()
-    }
-}
-
-/// Serves a [`ShardedSession`]: per-query feeds, snapshots, and replay
-/// all work on the shared **global** timeline, so a client cannot tell
-/// a sharded deployment from a single-writer one. Remote registration
-/// is rejected — the shard plan is sealed at build time.
-pub struct ShardedSource {
-    session: Arc<ShardedSession>,
-    names: Vec<String>,
 }
 
 impl ShardedSource {
     /// Wraps `session` for serving, enabling delta retention of
     /// `ring_cap` events on each query.
     pub fn new(session: Arc<ShardedSession>, ring_cap: usize) -> Result<ShardedSource, CqError> {
-        let names: Vec<String> = session
-            .plan()
-            .shards()
-            .iter()
-            .flat_map(|s| s.queries().iter().cloned())
-            .collect();
-        for name in &names {
-            session.retain_deltas(name, ring_cap)?;
-        }
-        Ok(ShardedSource { session, names })
-    }
-
-    /// The wrapped sharded session.
-    pub fn session(&self) -> &Arc<ShardedSession> {
-        &self.session
+        let core = (*session).clone();
+        Served::wrap(session, core, ring_cap)
     }
 
     /// The served query names.
@@ -196,37 +159,56 @@ impl ShardedSource {
     }
 }
 
-impl FeedSource for ShardedSource {
+impl<H: Send + Sync + 'static> FeedSource for Served<H> {
     fn seq(&self) -> u64 {
         self.session.seq()
     }
 
-    fn register(&self, _name: &str, _src: &str) -> Result<u64, SourceError> {
-        Err(SourceError::Unsupported(
-            "a sharded session's query set is sealed at build time".into(),
-        ))
+    fn register(&self, name: &str, src: &str) -> Result<u64, SourceError> {
+        let Some(shard) = self.session.single_shard() else {
+            return Err(SourceError::Unsupported(
+                "a sharded session's query set is sealed at build time".into(),
+            ));
+        };
+        shard.register(name, src).map_err(source_err)?;
+        shard
+            .retain_deltas(name, self.ring_cap)
+            .map_err(source_err)?;
+        Ok(self.session.seq())
     }
 
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = self.session.snapshot(name).map_err(source_err)?;
-        Ok((snap.seq(), snap.results_sorted()))
+        snapshot_rows(&self.session, name)
     }
 
     fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        self.session
-            .replay_since(name, from_seq)
-            .map(to_replay)
-            .map_err(source_err)
+        replay(&self.session, name, from_seq)
     }
 
     fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = self.session.subscribe(name).map_err(source_err)?;
-        Ok(Box::new(SubscriptionFeed(sub)))
+        open_feed(&self.session, name)
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {
-        self.session.registry().cloned()
+        self.session.session_registry()
     }
+}
+
+fn snapshot_rows(session: &ShardedSession, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
+    let snap = session.snapshot(name).map_err(source_err)?;
+    Ok((snap.seq(), snap.results_sorted()))
+}
+
+fn replay(session: &ShardedSession, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
+    session
+        .replay_since(name, from_seq)
+        .map(to_replay)
+        .map_err(source_err)
+}
+
+fn open_feed(session: &ShardedSession, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
+    let sub = session.subscribe(name).map_err(source_err)?;
+    Ok(Box::new(SubscriptionFeed(sub)))
 }
 
 /// What a [`ReplicaSource`] is currently fronting: a live follower, or
@@ -295,6 +277,17 @@ impl ReplicaSource {
     }
 }
 
+impl ReplicaSource {
+    /// The session currently served: the follower's live session, or
+    /// the promoted leader's.
+    fn served(&self) -> Result<ShardedSession, SourceError> {
+        match &*self.read() {
+            ServedReplica::Following(r) => r.session().map_err(source_err),
+            ServedReplica::Promoted(d) => Ok(d.session().clone()),
+        }
+    }
+}
+
 impl FeedSource for ReplicaSource {
     fn seq(&self) -> u64 {
         match &*self.read() {
@@ -310,43 +303,15 @@ impl FeedSource for ReplicaSource {
     }
 
     fn snapshot(&self, name: &str) -> Result<(u64, Vec<Row>), SourceError> {
-        let snap = match &*self.read() {
-            ServedReplica::Following(r) => r.snapshot(name).map_err(source_err)?,
-            ServedReplica::Promoted(d) => d.snapshot(name).map_err(durable_err)?,
-        };
-        Ok((snap.seq(), snap.results_sorted()))
+        snapshot_rows(&self.served()?, name)
     }
 
     fn replay(&self, name: &str, from_seq: u64) -> Result<Replay, SourceError> {
-        match &*self.read() {
-            ServedReplica::Following(r) => r
-                .replay_since(name, from_seq)
-                .map(to_replay)
-                .map_err(source_err),
-            ServedReplica::Promoted(d) => {
-                let outcome = match (d.shared(), d.sharded()) {
-                    (Some(s), _) => s
-                        .read(|s| s.query(name).map(|h| h.replay_since(from_seq)))
-                        .map_err(source_err)?
-                        .map_err(source_err)?,
-                    (_, Some(s)) => s.replay_since(name, from_seq).map_err(source_err)?,
-                    _ => unreachable!("backend is single or sharded"),
-                };
-                Ok(to_replay(outcome))
-            }
-        }
+        replay(&self.served()?, name, from_seq)
     }
 
     fn open_feed(&self, name: &str) -> Result<Box<dyn FeedStream>, SourceError> {
-        let sub = match &*self.read() {
-            ServedReplica::Following(r) => r.subscribe(name).map_err(source_err)?,
-            ServedReplica::Promoted(d) => match (d.shared(), d.sharded()) {
-                (Some(s), _) => s.subscribe(name).map_err(source_err)?,
-                (_, Some(s)) => s.subscribe(name).map_err(source_err)?,
-                _ => unreachable!("backend is single or sharded"),
-            },
-        };
-        Ok(Box::new(SubscriptionFeed(sub)))
+        open_feed(&self.served()?, name)
     }
 
     fn registry(&self) -> Option<Arc<cqu_obs::Registry>> {

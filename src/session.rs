@@ -81,7 +81,7 @@ use cqu_serve::ring::SeqRing;
 use cqu_storage::{ApplyUpdate, Database, Tuple, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// How [`Session::register_with`] picks an engine for a query.
@@ -662,6 +662,18 @@ impl Session {
         self.seq_source = Some(source);
     }
 
+    /// The counter this session draws sequence numbers from. A
+    /// standalone session is switched onto a fresh counter holding its
+    /// current seq, so a one-shard [`crate::shard::ShardedSession`] can
+    /// read the position without taking the session lock.
+    pub(crate) fn seq_counter(&mut self) -> Arc<AtomicU64> {
+        let seq = self.seq;
+        Arc::clone(
+            self.seq_source
+                .get_or_insert_with(|| Arc::new(AtomicU64::new(seq))),
+        )
+    }
+
     /// Points this session at a shared metrics registry: effective
     /// updates, batches, transactions, rollbacks, commit latency, and
     /// epoch publications are counted there from now on. Handles are
@@ -1045,9 +1057,9 @@ impl Session {
         Ok(self.apply_batch_prevalidated(updates))
     }
 
-    /// The batch path after validation — also the entry point for the
-    /// shard router, which has already validated every update against
-    /// the (identical) union schema and must not pay for it twice.
+    /// The batch path after validation — also the entry point for a
+    /// multi-shard batch, which validates every member under the shard
+    /// locks before any shard applies its part.
     pub(crate) fn apply_batch_prevalidated(&mut self, updates: &[Update]) -> UpdateReport {
         let start = self.metrics.as_ref().map(|_| Instant::now());
         // Only updates that change the master database can concern any
@@ -1217,18 +1229,11 @@ impl SessionTransaction<'_> {
     /// prefix or drop the guard to roll it back.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
         self.session.validate(update)?;
-        Ok(self.apply_prevalidated(update))
-    }
-
-    /// The transactional apply after validation — the entry point for
-    /// the shard router, which validates once against the (identical)
-    /// union schema before routing.
-    pub(crate) fn apply_prevalidated(&mut self, update: &Update) -> bool {
         let changed = self.session.dispatch(update);
         if changed {
             self.effective.push(update.clone());
         }
-        changed
+        Ok(changed)
     }
 
     /// Applies a sequence of updates, stopping at the first malformed
@@ -1738,16 +1743,26 @@ impl SharedSession {
     /// Errors with [`CqError::Poisoned`] if a writer panicked mid-update
     /// (engine state can no longer be trusted).
     pub fn read<R>(&self, f: impl FnOnce(&Session) -> R) -> Result<R, CqError> {
-        let guard = self.inner.read().map_err(|_| CqError::Poisoned)?;
-        Ok(f(&guard))
+        Ok(f(&*self.read_lock()?))
     }
 
     /// Runs a closure with exclusive write access (the serialized writer
     /// path). Errors with [`CqError::Poisoned`] if a previous writer
     /// panicked mid-update.
     pub fn write<R>(&self, f: impl FnOnce(&mut Session) -> R) -> Result<R, CqError> {
-        let mut guard = self.inner.write().map_err(|_| CqError::Poisoned)?;
-        Ok(f(&mut guard))
+        Ok(f(&mut *self.write_lock()?))
+    }
+
+    /// The read guard itself, for callers that hold several sessions'
+    /// locks at once (the shard layer's consistent cuts).
+    pub(crate) fn read_lock(&self) -> Result<RwLockReadGuard<'_, Session>, CqError> {
+        self.inner.read().map_err(|_| CqError::Poisoned)
+    }
+
+    /// The write guard itself (multi-shard commits lock in canonical
+    /// order and hold every guard until the last shard committed).
+    pub(crate) fn write_lock(&self) -> Result<RwLockWriteGuard<'_, Session>, CqError> {
+        self.inner.write().map_err(|_| CqError::Poisoned)
     }
 
     /// Parses and registers a query, classifier-routed
@@ -1786,7 +1801,7 @@ impl SharedSession {
         &self,
         f: impl FnOnce(&mut SessionTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, CqError> {
-        let mut guard = self.inner.write().map_err(|_| CqError::Poisoned)?;
+        let mut guard = self.write_lock()?;
         let mut txn = guard.transaction();
         match f(&mut txn) {
             Ok(r) => {

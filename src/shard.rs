@@ -70,7 +70,7 @@
 use crate::error::CqError;
 use crate::session::{
     validate_update, BoundedSubscription, EngineChoice, PinReader, QueryId, QuerySnapshot,
-    ReplayOutcome, Resume, Session, SessionTransaction, Subscription,
+    ReplayOutcome, Resume, Session, SessionTransaction, SharedSession, Subscription,
 };
 use cqu_common::{FxHashMap, UnionFind};
 use cqu_dynamic::UpdateReport;
@@ -78,7 +78,7 @@ use cqu_obs::{Counter, Histogram, Registry};
 use cqu_query::{parse_query, Query, RelId, Schema};
 use cqu_storage::{ApplyUpdate, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Collects query registrations, then partitions them into independent
@@ -212,14 +212,14 @@ impl ShardedSessionBuilder {
                 .collect(),
             registry,
         });
-        let shards: Vec<RwLock<Session>> = sessions.into_iter().map(RwLock::new).collect();
         Ok(ShardedSession {
             inner: Arc::new(Inner {
                 schema: self.schema,
-                shards,
+                shards: sessions.into_iter().map(SharedSession::new).collect(),
                 query_shard,
                 seq,
                 plan,
+                sealed: true,
                 metrics,
             }),
         })
@@ -273,6 +273,13 @@ impl ShardPlan {
     /// The shard owning `rel`, if it is in the plan's schema.
     pub fn shard_of_relation(&self, rel: RelId) -> Option<usize> {
         self.rel_shard.get(rel.index()).copied()
+    }
+
+    /// The shard updates to `rel` commit on: the relation table's entry,
+    /// else shard 0 — the open one-shard form's only shard, or the shard
+    /// whose session refuses an unknown id under its lock.
+    fn route(&self, rel: RelId) -> usize {
+        self.rel_shard.get(rel.index()).copied().unwrap_or(0)
     }
 
     /// The shard maintaining the query registered as `name`.
@@ -355,14 +362,21 @@ struct ShardMetrics {
 }
 
 struct Inner {
+    /// The union schema the plan was sealed over. Every shard session
+    /// holds this same schema; the open one-shard form seals nothing, so
+    /// its schema lives in the shard session alone and this stays empty.
     schema: Schema,
     /// One shard per footprint component: a full private session behind
     /// its own writer lock.
-    shards: Vec<RwLock<Session>>,
+    shards: Vec<SharedSession>,
     query_shard: FxHashMap<String, usize>,
     /// The global sequence counter every shard session draws from.
     seq: Arc<AtomicU64>,
     plan: ShardPlan,
+    /// Built from a sealed query set ([`ShardedSessionBuilder::build`]).
+    /// The open form ([`ShardedSession::single`]) has one shard and
+    /// accepts registration; this bit is all that tells the two apart.
+    sealed: bool,
     /// Router-level instrumentation
     /// ([`ShardedSessionBuilder::share_registry`]).
     metrics: Option<ShardMetrics>,
@@ -383,6 +397,47 @@ impl ShardedSession {
         ShardedSessionBuilder::new()
     }
 
+    /// The open one-shard form over `session`: every relation and query
+    /// lives on shard 0, registration stays available through
+    /// [`ShardedSession::single_shard`], and the session keeps its own
+    /// seq timeline. Single-writer durable sessions, replicas and
+    /// serving sources run on this form.
+    pub(crate) fn single(session: SharedSession) -> Result<ShardedSession, CqError> {
+        let seq = session.write(Session::seq_counter)?;
+        Ok(ShardedSession {
+            inner: Arc::new(Inner {
+                schema: Schema::new(),
+                shards: vec![session],
+                query_shard: FxHashMap::default(),
+                seq,
+                plan: ShardPlan {
+                    shards: vec![ShardSpec::default()],
+                    rel_shard: Vec::new(),
+                    reg_shard: Vec::new(),
+                },
+                sealed: false,
+                metrics: None,
+            }),
+        })
+    }
+
+    /// Whether the query set is sealed (built by a
+    /// [`ShardedSessionBuilder`]) rather than the open one-shard form.
+    pub(crate) fn sealed(&self) -> bool {
+        self.inner.sealed
+    }
+
+    /// The open form's one shard session, the only place queries are
+    /// registered after build (`None` when sealed).
+    pub(crate) fn single_shard(&self) -> Option<&SharedSession> {
+        (!self.inner.sealed).then(|| &self.inner.shards[0])
+    }
+
+    /// The shard updates to `rel` commit on (see [`ShardPlan::route`]).
+    pub(crate) fn route(&self, rel: RelId) -> usize {
+        self.inner.plan.route(rel)
+    }
+
     /// The union schema of all registered queries.
     pub fn schema(&self) -> &Schema {
         &self.inner.schema
@@ -398,13 +453,14 @@ impl ShardedSession {
         self.inner.shards.len()
     }
 
-    /// The shard maintaining the query registered as `name`.
+    /// The shard maintaining the query registered as `name` (always
+    /// shard 0 on the open one-shard form).
     pub fn shard_of_query(&self, name: &str) -> Result<usize, CqError> {
-        self.inner
-            .query_shard
-            .get(name)
-            .copied()
-            .ok_or_else(|| CqError::UnknownQuery(name.to_string()))
+        match self.inner.query_shard.get(name) {
+            Some(&sid) => Ok(sid),
+            None if !self.inner.sealed => Ok(0),
+            None => Err(CqError::UnknownQuery(name.to_string())),
+        }
     }
 
     /// The shard owning `rel` (where updates to it commit).
@@ -417,10 +473,8 @@ impl ShardedSession {
 
     /// Resolves a relation by name.
     pub fn relation(&self, name: &str) -> Result<RelId, CqError> {
-        self.inner
-            .schema
-            .relation(name)
-            .ok_or_else(|| CqError::UnknownRelation(name.to_string()))
+        // Every shard session holds the full union schema.
+        self.inner.shards[0].relation(name)
     }
 
     /// The global sequence counter: total effective update commands
@@ -436,6 +490,16 @@ impl ShardedSession {
         self.inner.metrics.as_ref().map(|m| &m.registry)
     }
 
+    /// The registry the shard sessions record into — the builder's on a
+    /// sealed session, whatever the wrapped session carries on the open
+    /// form.
+    pub(crate) fn session_registry(&self) -> Option<Arc<Registry>> {
+        self.inner.shards[0]
+            .read(|s| s.registry().cloned())
+            .ok()
+            .flatten()
+    }
+
     /// Total effective changes committed across all shards, summed from
     /// the shards' own storage-level generation counters — no global
     /// stamp is maintained anywhere; each shard's
@@ -447,11 +511,7 @@ impl ShardedSession {
     /// never count a cross-shard transaction's effects on one shard but
     /// not another.
     pub fn generation(&self) -> Result<u64, CqError> {
-        let mut guards = Vec::with_capacity(self.inner.shards.len());
-        for shard in &self.inner.shards {
-            guards.push(shard.read().map_err(|_| CqError::Poisoned)?);
-        }
-        Ok(guards.iter().map(|g| g.database().generation()).sum())
+        self.read_all(|guards| guards.iter().map(|g| g.database().generation()).sum())
     }
 
     /// The shard-local generation stamp of `rel`'s last effective change
@@ -459,10 +519,25 @@ impl ShardedSession {
     /// when `rel` itself changes, wherever else traffic lands.
     pub fn relation_generation(&self, rel: RelId) -> Result<u64, CqError> {
         let sid = self.shard_of_relation(rel)?;
-        let guard = self.inner.shards[sid]
-            .read()
-            .map_err(|_| CqError::Poisoned)?;
-        Ok(guard.database().relation_generation(rel))
+        self.inner.shards[sid].read(|s| s.database().relation_generation(rel))
+    }
+
+    /// Write-locks shard `sid`, recording the wait when instrumented.
+    fn lock_shard(&self, sid: usize) -> Result<RwLockWriteGuard<'_, Session>, CqError> {
+        let metrics = self.inner.metrics.as_ref();
+        let lock_start = metrics.map(|_| Instant::now());
+        let guard = self.inner.shards[sid].write_lock()?;
+        if let (Some(m), Some(t0)) = (metrics, lock_start) {
+            m.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(guard)
+    }
+
+    /// Counts `applied` effective updates against shard `sid`.
+    fn count_commits(&self, sid: usize, applied: usize) {
+        if let Some(m) = self.inner.metrics.as_ref() {
+            m.shard_commits[sid].add(applied as u64);
+        }
     }
 
     /// Applies one update through the owning shard's writer lock;
@@ -471,24 +546,12 @@ impl ShardedSession {
     /// the subsystem's whole point; callers on the same shard serialize
     /// exactly like a [`crate::SharedSession`] writer.
     pub fn apply(&self, update: &Update) -> Result<bool, CqError> {
-        validate_update(&self.inner.schema, update)?;
-        let sid = self.inner.plan.rel_shard[update.relation().index()];
-        let metrics = self.inner.metrics.as_ref();
-        let lock_start = metrics.map(|_| Instant::now());
-        let mut guard = self.inner.shards[sid]
-            .write()
-            .map_err(|_| CqError::Poisoned)?;
-        if let (Some(m), Some(t0)) = (metrics, lock_start) {
-            m.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-        // Pre-validated dispatch: every shard session carries the same
-        // union schema this router just validated against, so the
-        // delegated session must not pay for validation again.
+        let sid = self.route(update.relation());
+        let mut guard = self.lock_shard(sid)?;
+        validate_update(guard.schema(), update)?;
         let changed = guard.apply_update(update);
         if changed {
-            if let Some(m) = metrics {
-                m.shard_commits[sid].inc();
-            }
+            self.count_commits(sid, 1);
         }
         Ok(changed)
     }
@@ -503,51 +566,40 @@ impl ShardedSession {
     /// observes exactly the relative order of the updates that concern
     /// it.
     pub fn apply_batch(&self, updates: &[Update]) -> Result<UpdateReport, CqError> {
-        for u in updates {
-            validate_update(&self.inner.schema, u)?;
-        }
         let Some(first) = updates.first() else {
             return Ok(UpdateReport {
                 total: 0,
                 applied: 0,
             });
         };
-        let rel_shard = &self.inner.plan.rel_shard;
-        let first_sid = rel_shard[first.relation().index()];
+        let first_sid = self.route(first.relation());
         if updates
             .iter()
-            .all(|u| rel_shard[u.relation().index()] == first_sid)
+            .all(|u| self.route(u.relation()) == first_sid)
         {
-            let metrics = self.inner.metrics.as_ref();
-            let lock_start = metrics.map(|_| Instant::now());
-            let mut guard = self.inner.shards[first_sid]
-                .write()
-                .map_err(|_| CqError::Poisoned)?;
-            if let (Some(m), Some(t0)) = (metrics, lock_start) {
-                m.lock_wait_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-            let report = guard.apply_batch_prevalidated(updates);
-            if let Some(m) = metrics {
-                m.shard_commits[first_sid].add(report.applied as u64);
-            }
+            let report = self.lock_shard(first_sid)?.apply_batch(updates)?;
+            self.count_commits(first_sid, report.applied);
             return Ok(report);
         }
         // Multi-shard: split into per-shard sub-batches (order preserved
-        // within each), lock ascending, commit each sub-batch.
+        // within each), lock ascending, validate the whole batch, then
+        // commit each sub-batch.
         let mut groups: Vec<Vec<Update>> = vec![Vec::new(); self.inner.shards.len()];
         for u in updates {
-            groups[rel_shard[u.relation().index()]].push(u.clone());
+            groups[self.route(u.relation())].push(u.clone());
         }
         let touched: Vec<usize> = (0..groups.len())
             .filter(|&s| !groups[s].is_empty())
             .collect();
         let mut guards = self.lock_shards(&touched)?;
+        // Every shard session holds the full union schema.
+        for u in updates {
+            validate_update(guards[0].schema(), u)?;
+        }
         let mut applied = 0;
         for (guard, &sid) in guards.iter_mut().zip(&touched) {
             let sub = guard.apply_batch_prevalidated(&groups[sid]).applied;
-            if let Some(m) = self.inner.metrics.as_ref() {
-                m.shard_commits[sid].add(sub as u64);
-            }
+            self.count_commits(sid, sub);
             applied += sub;
         }
         Ok(UpdateReport {
@@ -560,15 +612,10 @@ impl ShardedSession {
     /// lock order that makes concurrent multi-shard writers deadlock-free).
     fn lock_shards(&self, shards: &[usize]) -> Result<Vec<RwLockWriteGuard<'_, Session>>, CqError> {
         debug_assert!(shards.windows(2).all(|w| w[0] < w[1]), "canonical order");
-        let mut guards = Vec::with_capacity(shards.len());
-        for &sid in shards {
-            guards.push(
-                self.inner.shards[sid]
-                    .write()
-                    .map_err(|_| CqError::Poisoned)?,
-            );
-        }
-        Ok(guards)
+        shards
+            .iter()
+            .map(|&sid| self.inner.shards[sid].write_lock())
+            .collect()
     }
 
     /// Runs `f` inside an all-or-nothing transaction spanning **all**
@@ -581,8 +628,7 @@ impl ShardedSession {
         &self,
         f: impl FnOnce(&mut ShardedTransaction<'_>) -> Result<R, CqError>,
     ) -> Result<R, CqError> {
-        let all: Vec<usize> = (0..self.inner.shards.len()).collect();
-        self.run_transaction(&all, None, f)
+        self.transaction_generic(f)
     }
 
     /// [`ShardedSession::transaction`] with a caller-chosen error type:
@@ -641,7 +687,7 @@ impl ShardedSession {
         let mut tx = ShardedTransaction {
             txns,
             scope,
-            rel_shard: &self.inner.plan.rel_shard,
+            plan: &self.inner.plan,
             schema: &self.inner.schema,
         };
         match f(&mut tx) {
@@ -666,10 +712,7 @@ impl ShardedSession {
     /// shortcuts below.
     pub fn read_shard<R>(&self, name: &str, f: impl FnOnce(&Session) -> R) -> Result<R, CqError> {
         let sid = self.shard_of_query(name)?;
-        let guard = self.inner.shards[sid]
-            .read()
-            .map_err(|_| CqError::Poisoned)?;
-        Ok(f(&guard))
+        self.inner.shards[sid].read(f)
     }
 
     /// The id the shard session assigned to `name` at registration.
@@ -717,6 +760,14 @@ impl ShardedSession {
         self.read_shard(name, |s| s.query(name).map(|h| h.retain_deltas(cap)))?
     }
 
+    /// Enables delta retention of `cap` events on every registered query.
+    pub(crate) fn retain_all_deltas(&self, cap: usize) -> Result<(), CqError> {
+        for shard in &self.inner.shards {
+            shard.read(|s| s.queries().for_each(|h| h.retain_deltas(cap)))?;
+        }
+        Ok(())
+    }
+
     /// Nets the retained delta stream of `name` after `from_seq` (see
     /// [`QueryHandle::replay_since`](crate::session::QueryHandle::replay_since)).
     pub fn replay_since(&self, name: &str, from_seq: u64) -> Result<ReplayOutcome, CqError> {
@@ -742,8 +793,7 @@ impl ShardedSession {
     /// only before the session is shared, hence crate-private.
     pub(crate) fn force_seq(&self, seq: u64) -> Result<(), CqError> {
         let all: Vec<usize> = (0..self.inner.shards.len()).collect();
-        let mut guards = self.lock_shards(&all)?;
-        for guard in guards.iter_mut() {
+        for mut guard in self.lock_shards(&all)? {
             guard.force_seq(seq);
         }
         Ok(())
@@ -757,10 +807,12 @@ impl ShardedSession {
         &self,
         f: impl FnOnce(&[RwLockReadGuard<'_, Session>]) -> R,
     ) -> Result<R, CqError> {
-        let mut guards = Vec::with_capacity(self.inner.shards.len());
-        for shard in &self.inner.shards {
-            guards.push(shard.read().map_err(|_| CqError::Poisoned)?);
-        }
+        let guards = self
+            .inner
+            .shards
+            .iter()
+            .map(SharedSession::read_lock)
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(f(&guards))
     }
 }
@@ -769,6 +821,7 @@ impl std::fmt::Debug for ShardedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSession")
             .field("shards", &self.inner.shards.len())
+            .field("sealed", &self.inner.sealed)
             .field(
                 "queries",
                 &self
@@ -797,7 +850,9 @@ pub struct ShardedTransaction<'a> {
     /// relation granularity: a relation merely co-located on a locked
     /// shard is still out of scope unless it was declared.
     scope: Option<Vec<bool>>,
-    rel_shard: &'a [usize],
+    plan: &'a ShardPlan,
+    /// The sealed schema, to name an out-of-scope relation (only sealed
+    /// sessions have scoped transactions).
     schema: &'a Schema,
 }
 
@@ -806,18 +861,20 @@ impl ShardedTransaction<'_> {
     /// `true` iff it was effective. Malformed or out-of-scope updates
     /// error and leave the transaction open.
     pub fn apply(&mut self, update: &Update) -> Result<bool, CqError> {
-        validate_update(self.schema, update)?;
         let rel = update.relation();
         let in_scope = self
             .scope
             .as_ref()
             .is_none_or(|s| s.get(rel.index()).copied().unwrap_or(false));
-        let sid = self.rel_shard[rel.index()];
-        match &mut self.txns[sid] {
-            Some(txn) if in_scope => Ok(txn.apply_prevalidated(update)),
-            _ => Err(CqError::OutOfShardScope {
-                relation: self.schema.name(rel).to_string(),
-            }),
+        match &mut self.txns[self.plan.route(rel)] {
+            // The shard session validates under its own lock.
+            Some(txn) if in_scope => txn.apply(update),
+            _ => {
+                validate_update(self.schema, update)?;
+                Err(CqError::OutOfShardScope {
+                    relation: self.schema.name(rel).to_string(),
+                })
+            }
         }
     }
 
@@ -1003,6 +1060,26 @@ mod tests {
             .is_err());
         assert_eq!(s.seq(), before);
         assert_eq!(s.count("a").unwrap(), 1);
+        // Validation runs under the shard locks, and still before any
+        // shard applies: a malformed member on one shard, or an id past
+        // the schema (routed to shard 0), stops the whole batch.
+        let generation = s.generation().unwrap();
+        let cross_shard = [Update::Insert(e, vec![7, 8]), Update::Insert(u, vec![5, 5])];
+        let out_of_range = [
+            Update::Insert(sr, vec![6]),
+            Update::Insert(RelId(99), vec![1]),
+        ];
+        for batch in [&cross_shard, &out_of_range] {
+            assert!(s.apply_batch(batch).is_err());
+            assert_eq!(s.seq(), before);
+            assert_eq!(s.generation().unwrap(), generation);
+            assert_eq!(s.count("a").unwrap(), 1);
+            assert_eq!(s.count("b").unwrap(), 1);
+        }
+        assert!(matches!(
+            s.apply_batch(&out_of_range),
+            Err(CqError::UnknownRelationId(99))
+        ));
     }
 
     #[test]

@@ -802,13 +802,20 @@ fn promotion_failover_and_stale_leader_fence() {
 /// A promoted replica keeps fronting the serving protocol: after
 /// [`ReplicaSource::handoff`] the same server (same port, same client
 /// cursors) serves from the promoted session, and `seq()` tracks new
-/// commits instead of the frozen follower watermark.
+/// commits instead of the frozen follower watermark — behind a
+/// single-writer leader and a sharded one alike.
 #[test]
 fn replica_source_hands_off_to_promoted_session() {
+    for sharded in [false, true] {
+        handoff_case(sharded);
+    }
+}
+
+fn handoff_case(sharded: bool) {
     use cq_updates::serve::{Client, Mirror, ReplicaSource, ServerHandle};
 
     let disk = SimDisk::new();
-    let sess = leader(&disk, false);
+    let sess = leader(&disk, sharded);
     let repl_server =
         ReplicationServer::bind("127.0.0.1:0", Arc::clone(&sess), fast_leader()).unwrap();
     let replica =
@@ -836,6 +843,7 @@ fn replica_source_hands_off_to_promoted_session() {
             .promote(Box::new(SimDisk::new()), small_opts())
             .unwrap(),
     );
+    assert_eq!(promoted.is_sharded(), sharded);
     source.handoff(Arc::clone(&promoted));
     assert!(
         source.replica().is_none(),
